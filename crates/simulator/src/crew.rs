@@ -31,11 +31,21 @@ use crate::policy::MigrantVm;
 /// coordinator.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum ScanReq {
-    /// First active host in stacking order that admits an arrival.
-    Admit { cpu: f64, cpu_used: f64, mem: f64 },
+    /// First active host in stacking order that admits an arrival. The
+    /// walk starts at `by_booked` key `from` (see `dc::seek_key`).
+    Admit {
+        cpu: f64,
+        cpu_used: f64,
+        mem: f64,
+        from: u64,
+    },
     /// First active host in stacking order that accepts a migration,
-    /// skipping the evacuation source.
-    Migrate { vm: MigrantVm, skip: usize },
+    /// skipping the evacuation source; the walk starts at key `from`.
+    Migrate {
+        vm: MigrantVm,
+        skip: usize,
+        from: u64,
+    },
     /// Least-lending zombie (the `IdleZombieFirst` wake preference).
     WakeZombie,
     /// Lowest-index non-active host (the wake fallback).
@@ -46,17 +56,41 @@ pub(crate) enum ScanReq {
     IdleZombie,
 }
 
-/// A shard's best candidate: `(merge key, host index)`. Keys are
-/// constructed so the tuple minimum across shards is exactly the host
-/// the serial full scan would have picked — see [`Dc::scan_shard`].
-pub(crate) type ScanHit = Option<(u64, usize)>;
+impl ScanReq {
+    /// The same walk started at the first `by_booked` entry, or `None`
+    /// for a scan that is not a seeking walk (or already starts there).
+    pub(crate) fn unseeked(mut self) -> Option<ScanReq> {
+        match &mut self {
+            ScanReq::Admit { from, .. } | ScanReq::Migrate { from, .. } if *from != 0 => *from = 0,
+            _ => return None,
+        }
+        Some(self)
+    }
+}
 
-/// Merges two shard candidates: tuple minimum, `None` loses to anything.
+/// A scan's answer over one or more shards.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct ScanHit {
+    /// The best candidate, `(merge key, host index)`. Keys are
+    /// constructed so the tuple minimum across shards is exactly the
+    /// host the serial full scan would have picked — see
+    /// [`Dc::scan_shard`].
+    pub(crate) best: Option<(u64, usize)>,
+    /// Hosts an `Admit`/`Migrate` walk visited (0 for the other scans).
+    pub(crate) examined: u64,
+}
+
+/// Merges two shard answers: tuple minimum (`None` loses to anything),
+/// examined counts add.
 pub(crate) fn merge_hit(a: ScanHit, b: ScanHit) -> ScanHit {
-    match (a, b) {
+    let best = match (a.best, b.best) {
         (Some(x), Some(y)) => Some(x.min(y)),
         (x, None) => x,
         (None, y) => y,
+    };
+    ScanHit {
+        best,
+        examined: a.examined + b.examined,
     }
 }
 
@@ -113,7 +147,7 @@ impl Crew {
                 dc: 0,
                 req: ScanReq::Sleeping,
                 pending: 0,
-                out: vec![None; workers],
+                out: vec![ScanHit::default(); workers],
                 quit: false,
             }),
             go: Condvar::new(),
@@ -144,7 +178,7 @@ impl Crew {
             st.epoch += 1;
             self.shared.go.notify_all();
         }
-        let mut best = None;
+        let mut best = ScanHit::default();
         let mut s = 0;
         while s < dc.shard_count() {
             best = merge_hit(best, dc.scan_shard(s, &req));
@@ -201,7 +235,7 @@ fn worker_main(shared: &Shared, w: usize, stride: usize) {
         // before our read and our results before the coordinator's
         // merge.
         let dc = unsafe { &*(dc_addr as *const Dc) };
-        let mut best = None;
+        let mut best = ScanHit::default();
         let mut s = w;
         while s < dc.shard_count() {
             best = merge_hit(best, dc.scan_shard(s, &req));

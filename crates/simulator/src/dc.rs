@@ -158,6 +158,56 @@ fn booked_key(v: f64) -> u64 {
     !total_key(v)
 }
 
+/// Headroom added to a seek bound so rounding in `limit - cpu` can only
+/// make the seek skip *fewer* hosts: far above one ulp of the booked
+/// loads (~2e-16 near 1.0), far below any booking the trace produces.
+const SEEK_MARGIN: f64 = 1e-12;
+
+/// The `by_booked` key a first-fit walk for a VM booking `cpu` starts
+/// at, given the policy's booked-CPU ceiling (`0`, the first possible
+/// key, walks everything).
+///
+/// The walk skips exactly the hosts whose booked load is above
+/// `bound = (ceiling + 1e-9) - cpu + SEEK_MARGIN` in `total_cmp` order,
+/// hence numerically `>= bound` (booked loads are never NaN: `validate`
+/// rejects them). Float addition is monotone, so each skipped host has
+/// `booked + cpu >= bound + cpu`, and the guard below checks that this
+/// is `> ceiling + 1e-9` — the test every ceiling-declaring policy
+/// rejects on. Those hosts form a prefix of the stacking order, and the
+/// policy would have said no to each of them. Should rounding or a NaN
+/// `cpu` ever defeat the margin, the guard falls back to the full walk.
+fn seek_key(ceiling: Option<f64>, cpu: f64) -> u64 {
+    let Some(ceiling) = ceiling else {
+        return 0;
+    };
+    let limit = ceiling + 1e-9;
+    let bound = limit - cpu + SEEK_MARGIN;
+    if bound + cpu > limit {
+        booked_key(bound)
+    } else {
+        0
+    }
+}
+
+/// The first entry of `shard`'s stacking order at or after key `from`
+/// that passes `fits`, and how many hosts the walk visited.
+fn first_fit(shard: &Shard, from: u64, mut fits: impl FnMut(usize) -> bool) -> ScanHit {
+    let mut examined = 0;
+    for &(key, i) in shard.by_booked.range((from, 0)..) {
+        examined += 1;
+        if fits(i) {
+            return ScanHit {
+                best: Some((key, i)),
+                examined,
+            };
+        }
+    }
+    ScanHit {
+        best: None,
+        examined,
+    }
+}
+
 /// Merge key for minimum-value scans (wake picks, the overcommit
 /// fallback). The serial scans compared with plain `<`, under which
 /// `-0.0` and `+0.0` tie and the first (lowest-index) host wins;
@@ -632,40 +682,38 @@ impl Dc {
     /// are built so the tuple minimum across shards equals the serial
     /// full-scan answer:
     ///
-    /// - `Admit`/`Migrate` walk `by_booked` in stacking order and stop
-    ///   at the shard's first fit; the key is the entry's stored booked
-    ///   key, so the cross-shard minimum is the globally first-fitting
-    ///   entry of the (conceptual) merged stacking order.
+    /// - `Admit`/`Migrate` walk `by_booked` in stacking order from the
+    ///   request's seek key ([`seek_key`]: every host before it fails
+    ///   the policy's booked ceiling) and stop at the shard's first fit;
+    ///   the key is the entry's stored booked key, so the cross-shard
+    ///   minimum is the globally first-fitting entry of the
+    ///   (conceptual) merged stacking order.
     /// - `WakeZombie`/`LeastUsed` minimize a canonicalized float key
     ///   ([`merge_key`]), reproducing the serial strict-`<` first-min.
     /// - `Sleeping`/`IdleZombie` want the lowest host index; the key is
     ///   a constant `0` so the tuple min is the index min.
     pub(crate) fn scan_shard(&self, s: usize, req: &ScanReq) -> ScanHit {
         let shard = &self.shards[s];
-        match *req {
-            ScanReq::Admit { cpu, cpu_used, mem } => {
-                for &(key, i) in &shard.by_booked {
+        let best = match *req {
+            ScanReq::Admit {
+                cpu,
+                cpu_used,
+                mem,
+                from,
+            } => {
+                return first_fit(shard, from, |i| {
                     let pool = self.pool_buf[self.hosts.rack[i] as usize];
-                    if self.fits(i, cpu, cpu_used, mem, pool).is_some() {
-                        return Some((key, i));
-                    }
-                }
-                None
+                    self.fits(i, cpu, cpu_used, mem, pool).is_some()
+                })
             }
-            ScanReq::Migrate { ref vm, skip } => {
-                for &(key, i) in &shard.by_booked {
-                    if i == skip {
-                        continue;
-                    }
+            ScanReq::Migrate { ref vm, skip, from } => {
+                return first_fit(shard, from, |i| {
                     let pool = self.pool_buf[self.hosts.rack[i] as usize];
-                    if self.consolidation_fits(i, vm, pool) {
-                        return Some((key, i));
-                    }
-                }
-                None
+                    i != skip && self.consolidation_fits(i, vm, pool)
+                })
             }
             ScanReq::WakeZombie => {
-                let mut best: ScanHit = None;
+                let mut best = None;
                 for &i in &shard.nonactive {
                     if self.hosts.state[i] != HState::Zombie {
                         continue;
@@ -679,7 +727,7 @@ impl Dc {
             }
             ScanReq::Sleeping => shard.nonactive.first().map(|&i| (0, i)),
             ScanReq::LeastUsed => {
-                let mut best: ScanHit = None;
+                let mut best = None;
                 for &i in &shard.active {
                     let cand = (merge_key(self.hosts.cpu_used[i]), i);
                     if best.is_none_or(|b| cand < b) {
@@ -695,11 +743,22 @@ impl Dc {
                     self.hosts.state[i] == HState::Zombie && self.hosts.remote_allocated[i] <= 1e-9
                 })
                 .map(|&i| (0, i)),
-        }
+        };
+        ScanHit { best, examined: 0 }
+    }
+
+    /// Runs `req` over every shard on the calling thread.
+    fn scan_inline(&self, req: &ScanReq) -> ScanHit {
+        (0..self.shards.len()).fold(ScanHit::default(), |best, s| {
+            merge_hit(best, self.scan_shard(s, req))
+        })
     }
 
     /// Runs `req` over every shard — on the crew when one is up, inline
-    /// otherwise — and returns the winning host.
+    /// otherwise — and returns the winning host. Under [`Dc::validate_on`]
+    /// a seeking walk is re-run from the first entry and must pick the
+    /// same host, so every debug run checks the seek against the full
+    /// walk.
     fn scan_merged(&self, req: ScanReq) -> Option<usize> {
         let hit = match &self.crew {
             Some(crew) => {
@@ -707,15 +766,27 @@ impl Dc {
                     zombieland_obs::profile::span(zombieland_obs::profile::Phase::ShardRound);
                 crew.round(self, req)
             }
-            None => {
-                let mut best = None;
-                for s in 0..self.shards.len() {
-                    best = merge_hit(best, self.scan_shard(s, &req));
-                }
-                best
-            }
+            None => self.scan_inline(&req),
         };
-        hit.map(|(_, i)| i)
+        if self.validate_on {
+            if let Some(full) = req.unseeked() {
+                assert_eq!(
+                    hit.best,
+                    self.scan_inline(&full).best,
+                    "booked-ceiling seek changed the answer to {req:?}"
+                );
+            }
+        }
+        match req {
+            ScanReq::Admit { .. } => {
+                zombieland_obs::sink::hist_record("sim.admit.hosts_examined", hit.examined)
+            }
+            ScanReq::Migrate { .. } => {
+                zombieland_obs::sink::hist_record("sim.migrate.hosts_examined", hit.examined)
+            }
+            _ => {}
+        }
+        hit.best.map(|(_, i)| i)
     }
 
     /// Stacking choice: the fittable active host with the highest booked
@@ -726,7 +797,13 @@ impl Dc {
     /// the whole scan.
     fn pick_host(&mut self, cpu: f64, cpu_used: f64, mem: f64) -> Option<usize> {
         self.snapshot_pools();
-        self.scan_merged(ScanReq::Admit { cpu, cpu_used, mem })
+        let from = seek_key(self.cfg.policy.placement.booked_ceiling(), cpu);
+        self.scan_merged(ScanReq::Admit {
+            cpu,
+            cpu_used,
+            mem,
+            from,
+        })
     }
 
     /// Wakes a host per policy preference. Returns its index.
@@ -1160,16 +1237,19 @@ impl Dc {
         resident.extend_from_slice(&self.hosts.vms[host]);
         let mut moves: Vec<PendingMove> = Vec::with_capacity(resident.len());
         let mut ok = true;
+        let ceiling = policy.booked_ceiling(self.cfg.cpu_fill_cap);
         for &task in &resident {
             let t = &trace.tasks()[task];
             let mem = policy
                 .migration_footprint(t.mem_booked, self.vms[task].as_ref().map(|v| v.local_mem));
             // Highest-booked fittable target, ties to the lowest index —
             // the old `max_by(...).then(b.cmp(&a))` full scan. The
-            // booked-ordered walks stop at each shard's first fitting
-            // entry; pools are re-snapshot per VM because each
-            // reserve_move shifts them.
+            // booked-ordered walks seek past the hosts over the policy's
+            // ceiling and stop at each shard's first fitting entry;
+            // pools are re-snapshot per VM because each reserve_move
+            // shifts them.
             self.snapshot_pools();
+            let from = seek_key(ceiling, t.cpu_booked);
             let migrant = crate::policy::MigrantVm {
                 cpu_booked: t.cpu_booked,
                 cpu_used: t.cpu_used,
@@ -1179,6 +1259,7 @@ impl Dc {
             match self.scan_merged(ScanReq::Migrate {
                 vm: migrant,
                 skip: host,
+                from,
             }) {
                 Some(tgt) => moves.push(self.reserve_move(trace, task, tgt)),
                 None => {
@@ -1365,5 +1446,59 @@ impl Dc {
                 });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zombieland_simcore::DetRng;
+
+    /// The seek's soundness: a host the walk skips (its key sorts before
+    /// the seek key) fails `booked + cpu > ceiling + 1e-9`, for random
+    /// loads and for loads pinned at and around the seek bound.
+    #[test]
+    fn seek_skips_only_hosts_over_the_ceiling() {
+        let mut rng = DetRng::new(0x5eec);
+        let mut skipped = 0;
+        for _ in 0..20_000 {
+            let ceiling = [1.0, 1.3, rng.range_f64(0.1, 2.0)][rng.below(3) as usize];
+            let cpu = rng.range_f64(0.0, 1.5);
+            let from = seek_key(Some(ceiling), cpu);
+            let bound = ceiling + 1e-9 - cpu;
+            let mut loads = vec![
+                rng.range_f64(0.0, 3.0),
+                bound,
+                bound.next_up(),
+                bound.next_down(),
+                bound + SEEK_MARGIN,
+                (bound + SEEK_MARGIN).next_up(),
+                -0.0,
+                0.0,
+            ];
+            loads.extend((0..4).map(|_| bound + rng.range_f64(-1e-11, 1e-11)));
+            for booked in loads {
+                if booked_key(booked) < from {
+                    skipped += 1;
+                    assert!(
+                        booked + cpu > ceiling + 1e-9,
+                        "skipped a fitting host: booked {booked} cpu {cpu} ceiling {ceiling}"
+                    );
+                }
+            }
+        }
+        assert!(skipped > 10_000, "the seek skips hosts at all: {skipped}");
+    }
+
+    #[test]
+    fn seek_walks_everything_without_a_usable_bound() {
+        assert_eq!(seek_key(None, 0.5), 0);
+        assert_eq!(seek_key(Some(1.0), f64::NAN), 0);
+        // The guard holds for ordinary bookings, so the seek is live.
+        assert_ne!(seek_key(Some(1.0), 0.25), 0);
+        // A booking far larger than the ceiling seeks to non-positive
+        // loads, still skipping every host that holds any booking.
+        let from = seek_key(Some(1.0), 5.0);
+        assert!(booked_key(1e-6) < from && booked_key(-5.0) >= from);
     }
 }

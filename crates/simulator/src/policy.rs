@@ -64,6 +64,16 @@ pub trait PlacementPolicy: Send + Sync + fmt::Debug {
         false
     }
 
+    /// A booked-CPU ceiling `c` such that [`PlacementPolicy::admit`]
+    /// returns `None` for every host with `cpu_booked + cpu > c + 1e-9`
+    /// (evaluated in that order, in `f64`). The admission scan seeks
+    /// past those hosts without calling `admit`, so the ceiling must be
+    /// *sound*: it may only skip hosts the policy would reject. `None`
+    /// (the default) walks every active host.
+    fn booked_ceiling(&self) -> Option<f64> {
+        None
+    }
+
     /// Which non-active host to wake when no active host fits.
     fn wake_preference(&self) -> WakePreference {
         WakePreference::FirstSleeping
@@ -117,6 +127,16 @@ pub trait ConsolidationPolicy: Send + Sync + fmt::Debug {
         pool: f64,
         cpu_fill_cap: f64,
     ) -> bool;
+
+    /// A booked-CPU ceiling `c` such that
+    /// [`ConsolidationPolicy::accepts_migration`] returns `false` for
+    /// every host with `cpu_booked + vm.cpu_booked > c + 1e-9` under the
+    /// same `cpu_fill_cap`. The migration scan seeks past those hosts,
+    /// so the ceiling must be *sound*: it may only skip hosts the policy
+    /// would reject. `None` (the default) walks every active host.
+    fn booked_ceiling(&self, _cpu_fill_cap: f64) -> Option<f64> {
+        None
+    }
 }
 
 /// A migrating VM's demand, as judged by
@@ -138,6 +158,10 @@ pub struct MigrantVm {
 // Implementations.
 // ---------------------------------------------------------------------
 
+/// ZombieStack's bounded booking overcommit: booked CPU may reach 130 %
+/// of a server, in placement and consolidation alike.
+const ZOMBIE_BOOKED_CAP: f64 = 1.3;
+
 /// Vanilla Nova placement: the full booking must fit locally.
 #[derive(Debug)]
 pub struct FullBookingPlacement {
@@ -156,6 +180,10 @@ impl PlacementPolicy for FullBookingPlacement {
             Some(mem)
         }
     }
+
+    fn booked_ceiling(&self) -> Option<f64> {
+        Some(1.0)
+    }
 }
 
 /// ZombieStack placement: usage-aware CPU admission with a bounded
@@ -171,7 +199,7 @@ impl PlacementPolicy for ZombieStackPlacement {
         // Usage-aware CPU admission with a bounded booking overcommit,
         // mirroring the consolidation rule, so that arrivals can land on
         // usage-packed hosts instead of waking zombies.
-        if h.cpu_used + cpu_used > 0.85 + 1e-9 || h.cpu_booked + cpu > 1.3 + 1e-9 {
+        if h.cpu_used + cpu_used > 0.85 + 1e-9 || h.cpu_booked + cpu > ZOMBIE_BOOKED_CAP + 1e-9 {
             return None;
         }
         let local = mem.min(h.free_local);
@@ -186,6 +214,10 @@ impl PlacementPolicy for ZombieStackPlacement {
 
     fn uses_remote_pool(&self) -> bool {
         true
+    }
+
+    fn booked_ceiling(&self) -> Option<f64> {
+        Some(ZOMBIE_BOOKED_CAP)
     }
 
     fn wake_preference(&self) -> WakePreference {
@@ -246,6 +278,10 @@ impl ConsolidationPolicy for VanillaNeatConsolidation {
     ) -> bool {
         h.cpu_booked + vm.cpu_booked <= cpu_fill_cap + 1e-9 && h.free_local + 1e-9 >= vm.mem
     }
+
+    fn booked_ceiling(&self, cpu_fill_cap: f64) -> Option<f64> {
+        Some(cpu_fill_cap)
+    }
 }
 
 /// ZombieStack consolidation: the 30 %-of-WSS rule, usage-based CPU
@@ -281,12 +317,18 @@ impl ConsolidationPolicy for ZombieStackConsolidation {
         _cpu_fill_cap: f64,
     ) -> bool {
         // Usage-based CPU packing with a bounded booking overcommit.
-        if h.cpu_used + vm.cpu_used > 0.85 + 1e-9 || h.cpu_booked + vm.cpu_booked > 1.3 + 1e-9 {
+        if h.cpu_used + vm.cpu_used > 0.85 + 1e-9
+            || h.cpu_booked + vm.cpu_booked > ZOMBIE_BOOKED_CAP + 1e-9
+        {
             return false;
         }
         // The 30 %-of-WSS rule, as in `Neat::fits` (ZombieStack mode).
         let local = vm.mem.min(h.free_local);
         local + 1e-9 >= 0.30 * vm.wss && (vm.mem - local) <= pool + 1e-9
+    }
+
+    fn booked_ceiling(&self, _cpu_fill_cap: f64) -> Option<f64> {
+        Some(ZOMBIE_BOOKED_CAP)
     }
 }
 

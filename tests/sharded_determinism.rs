@@ -114,6 +114,33 @@ fn crew_threads_change_nothing() {
     }
 }
 
+/// The hosts-examined work counters are a property of the shard count,
+/// not of the threads: with the crew scanning (above the crew gate, a
+/// budget of 2) every admission and migration scan records the same
+/// sample it records inline.
+#[test]
+fn hosts_examined_counters_are_job_invariant() {
+    use zombieland::obs::{observe, ObsLevel};
+    let trace = zombieland::trace::ClusterTrace::generate(zombieland::trace::TraceConfig {
+        servers: 520,
+        duration: zombieland::simcore::SimDuration::from_hours(4),
+        seed: 5,
+        mem_cpu_ratio: 1.0,
+        avg_utilization: 0.25,
+    });
+    let counters = |jobs| {
+        let (_, run) = observe(ObsLevel::Summary, || {
+            run(&trace, PolicyKind::ZombieStack, 13, 4, jobs)
+        });
+        ["sim.admit.hosts_examined", "sim.migrate.hosts_examined"].map(|name| {
+            let h = run.metrics.histogram(name).cloned();
+            assert!(h.as_ref().is_some_and(|h| h.count > 0), "{name} recorded");
+            h
+        })
+    };
+    assert_eq!(counters(1), counters(2));
+}
+
 /// The golden path (`SimConfig::new` under the default scenario — one
 /// rack, one shard) is untouched by the SoA/shard refactor: the default
 /// resolves to the serial loop, and forcing the shard knob on a
