@@ -12,7 +12,7 @@
 //! just a replica that replays the calls.
 
 use core::fmt;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use zombieland_mem::buffer::{BufferId, BUFF_SIZE};
 use zombieland_rdma::MrKey;
@@ -109,15 +109,27 @@ impl ReclaimPlan {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct HostInfo {
     is_zombie: bool,
+    /// Buffers the host has in the pool, in id order (ids only grow, and
+    /// lending appends).
     lent: Vec<BufferId>,
+    /// The unallocated subset of `lent`. Being a sorted set, it iterates
+    /// in `lent` order.
+    free: BTreeSet<BufferId>,
 }
 
 /// The controller database.
+///
+/// Besides the rows, it keeps two indexes that every mutation maintains:
+/// each host's free set and the rack-wide free count. Requests read those
+/// instead of scanning the table, so an op costs what it answers about,
+/// not the size of the pool ([`CtrlDb::check_index`] recomputes them).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CtrlDb {
     buffers: BTreeMap<BufferId, BufferRecord>,
     hosts: BTreeMap<ServerId, HostInfo>,
     next_id: u64,
+    /// Rows without a user, rack-wide.
+    free: u64,
 }
 
 impl CtrlDb {
@@ -131,8 +143,8 @@ impl CtrlDb {
         self.hosts.entry(host).or_default();
     }
 
-    fn host_mut(&mut self, host: ServerId) -> Result<&mut HostInfo, DbError> {
-        self.hosts.get_mut(&host).ok_or(DbError::UnknownHost(host))
+    fn host(&self, host: ServerId) -> Result<&HostInfo, DbError> {
+        self.hosts.get(&host).ok_or(DbError::UnknownHost(host))
     }
 
     /// Records buffers lent by `host` (one `MrKey` per buffer) and — when
@@ -147,7 +159,8 @@ impl CtrlDb {
     ) -> Result<Vec<BufferId>, DbError> {
         // A host that is already a zombie cannot serve actively (its CPU
         // is off): any lend on its behalf is zombie-kind.
-        let zombie = zombie || self.host_mut(host)?.is_zombie;
+        let was_zombie = self.host(host)?.is_zombie;
+        let zombie = zombie || was_zombie;
         let kind = if zombie {
             BufferKind::Zombie
         } else {
@@ -171,24 +184,30 @@ impl CtrlDb {
             ids.push(id);
         }
         let info = self.hosts.get_mut(&host).expect("checked above");
-        info.lent.extend(&ids);
-        if zombie {
+        if zombie && !was_zombie {
             info.is_zombie = true;
-            // Existing lent buffers become zombie-type.
-            for b in info.lent.clone() {
-                self.buffers.get_mut(&b).expect("lent list consistent").kind = BufferKind::Zombie;
+            // Existing lent buffers become zombie-type (a zombie's are
+            // already).
+            for b in &info.lent {
+                self.buffers.get_mut(b).expect("lent list consistent").kind = BufferKind::Zombie;
             }
         }
+        info.lent.extend(&ids);
+        info.free.extend(&ids);
+        self.free += ids.len() as u64;
         Ok(ids)
     }
 
     /// Marks a host as awake again (its remaining lent buffers become
     /// active-type).
     pub fn mark_awake(&mut self, host: ServerId) -> Result<(), DbError> {
-        let info = self.host_mut(host)?;
+        let info = self
+            .hosts
+            .get_mut(&host)
+            .ok_or(DbError::UnknownHost(host))?;
         info.is_zombie = false;
-        for b in info.lent.clone() {
-            self.buffers.get_mut(&b).expect("lent list consistent").kind = BufferKind::Active;
+        for b in &info.lent {
+            self.buffers.get_mut(b).expect("lent list consistent").kind = BufferKind::Active;
         }
         Ok(())
     }
@@ -205,7 +224,7 @@ impl CtrlDb {
 
     /// Number of free (unallocated) buffers rack-wide.
     pub fn free_buffers(&self) -> u64 {
-        self.buffers.values().filter(|b| b.user.is_none()).count() as u64
+        self.free
     }
 
     /// Free remote memory rack-wide.
@@ -243,25 +262,18 @@ impl CtrlDb {
 
         // Free buffers grouped per host, zombie hosts first; never from
         // the user's own lent memory (that would be local, not remote).
-        let mut zombie_hosts: Vec<(ServerId, Vec<BufferId>)> = Vec::new();
-        let mut active_hosts: Vec<(ServerId, Vec<BufferId>)> = Vec::new();
+        // Each host hands out its highest free id first.
+        let mut zombie_hosts = Vec::new();
+        let mut active_hosts = Vec::new();
         for (&host, info) in &self.hosts {
-            if host == user {
+            if host == user || info.free.is_empty() {
                 continue;
             }
-            let free: Vec<BufferId> = info
-                .lent
-                .iter()
-                .copied()
-                .filter(|b| self.buffers[b].user.is_none())
-                .collect();
-            if free.is_empty() {
-                continue;
-            }
+            let free = info.free.iter().rev();
             if info.is_zombie {
-                zombie_hosts.push((host, free));
+                zombie_hosts.push(free);
             } else {
-                active_hosts.push((host, free));
+                active_hosts.push(free);
             }
         }
 
@@ -271,12 +283,11 @@ impl CtrlDb {
             let mut idx = 0usize;
             while picked.len() < nb as usize && !group.is_empty() {
                 idx %= group.len();
-                let (_, free) = &mut group[idx];
-                if let Some(b) = free.pop() {
+                if let Some(&b) = group[idx].next() {
                     picked.push(b);
                     idx += 1;
                 } else {
-                    group.remove(idx);
+                    let _exhausted = group.remove(idx);
                 }
             }
             if picked.len() == nb as usize {
@@ -285,19 +296,25 @@ impl CtrlDb {
         }
 
         if guaranteed && picked.len() < nb as usize {
-            // Cannot happen given the availability check, but keep the
-            // invariant explicit.
+            // The availability check counts the user's own free buffers,
+            // which it may not take: nothing is allocated then.
             return Err(DbError::AdmissionDenied {
                 requested: nb,
                 available: picked.len() as u64,
             });
         }
 
+        self.free -= picked.len() as u64;
         let records = picked
             .into_iter()
             .map(|b| {
                 let rec = self.buffers.get_mut(&b).expect("picked from live set");
                 rec.user = Some(user);
+                self.hosts
+                    .get_mut(&rec.host)
+                    .expect("row host registered")
+                    .free
+                    .remove(&b);
                 *rec
             })
             .collect();
@@ -314,7 +331,16 @@ impl CtrlDb {
             }
         }
         for id in ids {
-            self.buffers.get_mut(id).expect("validated").user = None;
+            let rec = self.buffers.get_mut(id).expect("validated");
+            // A duplicated id is freed once.
+            if rec.user.take().is_some() {
+                self.free += 1;
+                self.hosts
+                    .get_mut(&rec.host)
+                    .expect("row host registered")
+                    .free
+                    .insert(*id);
+            }
         }
         Ok(())
     }
@@ -345,32 +371,29 @@ impl CtrlDb {
     /// must revoke from their users via `US_reclaim`). The reclaimed
     /// buffers leave the database.
     pub fn reclaim(&mut self, host: ServerId, nb: u64) -> Result<ReclaimPlan, DbError> {
-        let info = self.host_mut(host)?;
-        let lent = info.lent.clone();
+        let info = self.host(host)?;
         let mut plan = ReclaimPlan::default();
-        // Pass 1: free buffers.
-        for &b in &lent {
-            if plan.returned_free.len() as u64 == nb {
-                break;
-            }
-            if self.buffers[&b].user.is_none() {
-                plan.returned_free.push(b);
-            }
-        }
-        // Pass 2: allocated buffers.
-        for &b in &lent {
-            if (plan.returned_free.len() + plan.revoked.len()) as u64 == nb {
-                break;
-            }
-            if let Some(user) = self.buffers[&b].user {
-                plan.revoked.push((user, b));
-            }
-        }
+        // Pass 1: free buffers, in lent order.
+        plan.returned_free
+            .extend(info.free.iter().take(nb as usize).copied());
+        // Pass 2: allocated buffers, in lent order.
+        let wanted = nb.saturating_sub(plan.returned_free.len() as u64) as usize;
+        plan.revoked.extend(
+            info.lent
+                .iter()
+                .filter(|b| !info.free.contains(b))
+                .take(wanted)
+                .map(|&b| (self.buffers[&b].user.expect("not free"), b)),
+        );
         // Apply: remove reclaimed rows.
-        for b in plan.all_buffers().collect::<Vec<_>>() {
+        for b in plan.all_buffers() {
             self.buffers.remove(&b);
         }
         let info = self.hosts.get_mut(&host).expect("checked above");
+        for b in &plan.returned_free {
+            info.free.remove(b);
+        }
+        self.free -= plan.returned_free.len() as u64;
         info.lent.retain(|b| self.buffers.contains_key(b));
         Ok(plan)
     }
@@ -381,14 +404,7 @@ impl CtrlDb {
         self.hosts
             .iter()
             .filter(|(_, info)| info.is_zombie)
-            .map(|(&host, info)| {
-                let allocated = info
-                    .lent
-                    .iter()
-                    .filter(|b| self.buffers[b].user.is_some())
-                    .count();
-                (allocated, host)
-            })
+            .map(|(&host, info)| (info.lent.len() - info.free.len(), host))
             .min()
             .map(|(_, host)| host)
     }
@@ -408,6 +424,39 @@ impl CtrlDb {
             .get(&host)
             .map(|info| info.lent.iter().map(|b| self.buffers[b]).collect())
             .unwrap_or_default()
+    }
+
+    /// Recomputes the indexes from the rows and panics if they disagree:
+    /// every host's `lent` is id-sorted and names rows it serves, its free
+    /// set is exactly the rows of `lent` without a user, every row is lent
+    /// by its host, and the rack-wide free count matches.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first inconsistency (a bug in a mutation).
+    pub fn check_index(&self) {
+        let mut lent_rows = 0usize;
+        for (&host, info) in &self.hosts {
+            assert!(
+                info.lent.windows(2).all(|w| w[0] < w[1]),
+                "{host}: lent list not id-sorted"
+            );
+            let free: BTreeSet<BufferId> = info
+                .lent
+                .iter()
+                .copied()
+                .filter(|b| {
+                    let rec = &self.buffers[b];
+                    assert_eq!(rec.host, host, "{b:?} lent by the wrong host");
+                    rec.user.is_none()
+                })
+                .collect();
+            assert_eq!(info.free, free, "{host}: free set out of date");
+            lent_rows += info.lent.len();
+        }
+        assert_eq!(lent_rows, self.buffers.len(), "rows outside lent lists");
+        let free = self.buffers.values().filter(|b| b.user.is_none()).count();
+        assert_eq!(self.free, free as u64, "free count out of date");
     }
 
     /// Total rows (for invariant checks).

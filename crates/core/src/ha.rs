@@ -41,9 +41,10 @@ impl HaPair {
     /// result. After a failover only the promoted secondary is updated.
     ///
     /// Determinism of [`CtrlDb`] guarantees the two replicas stay
-    /// identical; this is asserted in debug builds.
+    /// identical; debug builds assert that, and recompute the active
+    /// controller's indexes from its rows ([`CtrlDb::check_index`]).
     pub fn apply<R>(&mut self, op: impl Fn(&mut CtrlDb) -> R) -> R {
-        if self.primary_alive {
+        let r = if self.primary_alive {
             let r = op(&mut self.primary);
             let _mirror = op(&mut self.secondary);
             debug_assert_eq!(
@@ -53,7 +54,11 @@ impl HaPair {
             r
         } else {
             op(&mut self.secondary)
+        };
+        if cfg!(debug_assertions) {
+            self.db().check_index();
         }
+        r
     }
 
     /// Read access to the active controller's database.

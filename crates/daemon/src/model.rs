@@ -286,10 +286,24 @@ impl ClusterModel {
                 if idx >= self.nodes.len() {
                     return Err(ErrorFrame::UnknownHost(*host));
                 }
+                // The host's MR keys, read while its rows still exist.
+                let mrs: BTreeMap<BufferId, MrKey> = self
+                    .ha
+                    .db()
+                    .buffers_of_host(*host)
+                    .iter()
+                    .map(|r| (r.id, r.mr))
+                    .collect();
                 let plan = self
                     .ha
                     .apply(|db| db.reclaim(*host, *nb_buffers))
                     .map_err(db_error_frame)?;
+                // Destroy the channels: deregister every reclaimed MR.
+                for b in plan.all_buffers() {
+                    self.fabric
+                        .deregister(mrs[&b])
+                        .expect("the model's hosts stay powered");
+                }
                 // Revoke allocated buffers from their users' agents (the
                 // US_reclaim leg of the reclaim protocol).
                 for &(user, buffer) in &plan.revoked {
@@ -327,7 +341,7 @@ impl ClusterModel {
                 Ok(ResponseBody::Granted { buffers })
             }
             RackOp::GetLruZombie => Ok(ResponseBody::LruZombie {
-                host: self.ha.apply(|db| db.get_lru_zombie()),
+                host: self.ha.db().get_lru_zombie(),
             }),
         }
     }
@@ -474,6 +488,43 @@ mod tests {
         let mut after = zombieland_obs::MetricRegistry::default();
         m.observe_into(&mut after);
         assert!(after.gauge("zombied.pool.lent_bytes").unwrap().max < lent.unwrap());
+    }
+
+    #[test]
+    fn reclaim_deregisters_the_reclaimed_mrs() {
+        let mut m = model();
+        let host = ServerId::new(0);
+        let lent = m.ha.db().buffers_of_host(host);
+        assert!(lent.len() > 2, "host 0 boots as a zombie: {lent:?}");
+        m.apply(&RackOp::AllocSwap {
+            user: ServerId::new(1),
+            mem_size: Bytes::mib(64),
+        });
+        let r = m.apply(&RackOp::Reclaim {
+            host,
+            nb_buffers: 2,
+        });
+        let ResponseBody::Reclaimed {
+            returned_free,
+            revoked,
+        } = &r.body
+        else {
+            panic!("reclaim answered {r:?}");
+        };
+        let gone: Vec<BufferId> = returned_free
+            .iter()
+            .copied()
+            .chain(revoked.iter().map(|&(_, b)| b))
+            .collect();
+        assert_eq!(gone.len(), 2);
+        for rec in &lent {
+            let owner = m.fabric.mr_owner(rec.mr);
+            if gone.contains(&rec.id) {
+                assert!(owner.is_err(), "{:?} still registered", rec.id);
+            } else {
+                assert_eq!(owner, Ok(m.nodes[0]), "{:?} lost its MR", rec.id);
+            }
+        }
     }
 
     #[test]

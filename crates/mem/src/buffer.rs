@@ -70,10 +70,19 @@ pub fn buffers_within(size: Bytes) -> u64 {
 ///
 /// The user-server side (hypervisor paging, Explicit SD backend) uses this
 /// to place individual 4 KiB pages into the buffers the controller granted.
+///
+/// Slots are handed out lazily: `fresh` is the high-water mark of slots
+/// ever taken, and released slots are reused last-in first-out before the
+/// mark advances. That is the same sequence an eager stack of
+/// `(0..SLOTS_PER_BUFFER).rev()` would yield, without materialising it, so
+/// a new map costs O(1) whatever the buffer size.
 #[derive(Debug, Clone)]
 pub struct SlotMap {
     buffer: BufferId,
-    free: Vec<u32>,
+    /// Slots `fresh..SLOTS_PER_BUFFER` have never been taken.
+    fresh: u32,
+    /// Released slots, most recent last.
+    released: Vec<u32>,
     used: u64,
 }
 
@@ -82,7 +91,8 @@ impl SlotMap {
     pub fn new(buffer: BufferId) -> Self {
         SlotMap {
             buffer,
-            free: (0..SLOTS_PER_BUFFER as u32).rev().collect(),
+            fresh: 0,
+            released: Vec::new(),
             used: 0,
         }
     }
@@ -94,7 +104,14 @@ impl SlotMap {
 
     /// Takes a free slot, or `None` when the buffer is full.
     pub fn take(&mut self) -> Option<RemoteSlot> {
-        let slot = self.free.pop()?;
+        let slot = match self.released.pop() {
+            Some(slot) => slot,
+            None if (self.fresh as u64) < SLOTS_PER_BUFFER => {
+                self.fresh += 1;
+                self.fresh - 1
+            }
+            None => return None,
+        };
         self.used += 1;
         Some(RemoteSlot {
             buffer: self.buffer,
@@ -111,7 +128,7 @@ impl SlotMap {
     pub fn release(&mut self, slot: RemoteSlot) {
         assert_eq!(slot.buffer, self.buffer, "slot returned to wrong buffer");
         self.used -= 1;
-        self.free.push(slot.slot);
+        self.released.push(slot.slot);
     }
 
     /// Number of occupied slots.
@@ -121,7 +138,7 @@ impl SlotMap {
 
     /// Number of free slots.
     pub fn free_slots(&self) -> u64 {
-        self.free.len() as u64
+        SLOTS_PER_BUFFER - self.fresh as u64 + self.released.len() as u64
     }
 
     /// Occupied memory in this buffer.

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use zombieland_mem::{
-    buffer::{BufferId, SlotMap},
+    buffer::{BufferId, RemoteSlot, SlotMap, SLOTS_PER_BUFFER},
     FrameAllocator, Gfn, GuestPageTable, PageLocation,
 };
 use zombieland_simcore::{Bytes, Pages};
@@ -93,6 +93,40 @@ proptest! {
             for (_, f) in gpt.iter_local() {
                 prop_assert!(seen.insert(f), "frame {:?} double-mapped", f);
             }
+        }
+    }
+
+    /// The lazy slot map hands out exactly the slots an eager free stack
+    /// of `(0..SLOTS_PER_BUFFER).rev()` would, and is full exactly when
+    /// every slot is taken. Half the cases start a few slots short of
+    /// full, so exhaustion and reuse after it are exercised too.
+    #[test]
+    fn slot_map_matches_an_eager_free_stack(
+        start in (any::<bool>(), 0u64..64, 0u64..SLOTS_PER_BUFFER),
+        ops in prop::collection::vec((any::<bool>(), any::<u16>()), 1..300),
+    ) {
+        let (near_full, short, anywhere) = start;
+        let prefill = if near_full { SLOTS_PER_BUFFER - short } else { anywhere };
+        let buffer = BufferId::new(7);
+        let mut lazy = SlotMap::new(buffer);
+        let mut eager: Vec<u32> = (0..SLOTS_PER_BUFFER as u32).rev().collect();
+        let mut held: Vec<RemoteSlot> = Vec::new();
+        let steps = (0..prefill).map(|_| (true, 0)).chain(ops);
+        for (take, pick) in steps {
+            if take {
+                let got = lazy.take();
+                let want = eager.pop().map(|slot| RemoteSlot { buffer, slot });
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(got.is_none(), held.len() as u64 == SLOTS_PER_BUFFER);
+                held.extend(got);
+            } else if !held.is_empty() {
+                let slot = held.swap_remove(pick as usize % held.len());
+                lazy.release(slot);
+                eager.push(slot.slot);
+            }
+            prop_assert_eq!(lazy.free_slots(), eager.len() as u64);
+            prop_assert_eq!(lazy.used_slots(), held.len() as u64);
+            prop_assert_eq!(lazy.free_slots() + lazy.used_slots(), SLOTS_PER_BUFFER);
         }
     }
 
