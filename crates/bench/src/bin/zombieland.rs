@@ -14,11 +14,12 @@
 //! ```
 //!
 //! `replay` fires a seeded request stream at a running `zombied` daemon
-//! (see `crates/daemon`), reports throughput plus p50/p99 decision
-//! latency, and writes a machine-readable `REPLAY_<stamp>.json` (path
-//! overridable with `--out`); with `--metrics-out` the deterministic
-//! part of the capture (per-op counters, request sizes, decision-latency
-//! histogram) exports byte-identically for the same seed.
+//! (see `crates/daemon`), reports throughput, p50/p99 decision latency
+//! and the client round trip's p50/p99/p999, and writes a
+//! machine-readable `REPLAY_<stamp>.json` (path overridable with
+//! `--out`); with `--metrics-out` the deterministic part of the capture
+//! (per-op counters, request sizes, decision-latency histogram) exports
+//! byte-identically for the same seed.
 //!
 //! The global `--profile` flag wraps the run's phases — trace
 //! generation, simulator event-loop phases (arrivals, departures,
@@ -853,6 +854,13 @@ fn cmd_replay(args: &[String]) -> ExitCode {
                 ),
                 _ => println!("replay: no decision latency recorded"),
             }
+            if let (Some(p50), Some(p99), Some(p999)) =
+                (summary.rtt_p50_us, summary.rtt_p99_us, summary.rtt_p999_us)
+            {
+                println!(
+                    "replay: client round trip p50 {p50:.1} us, p99 {p99:.1} us, p999 {p999:.1} us (wall clock)"
+                );
+            }
             match write_replay_json(args, &cfg, &summary) {
                 Ok(out) => {
                     println!("wrote {out}");
@@ -903,6 +911,15 @@ fn write_replay_json(
     }
     if let Some(p99) = summary.p99_decision_ns {
         fields.push(("p99_decision_ns".into(), Value::UInt(p99)));
+    }
+    for (name, v) in [
+        ("rtt_p50_us", summary.rtt_p50_us),
+        ("rtt_p99_us", summary.rtt_p99_us),
+        ("rtt_p999_us", summary.rtt_p999_us),
+    ] {
+        if let Some(v) = v {
+            fields.push((name.into(), Value::Float(v)));
+        }
     }
     let mut body = Value::Object(fields).pretty();
     body.push('\n');

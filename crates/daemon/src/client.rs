@@ -4,6 +4,9 @@
 //! harness uses the split [`ZlClient::send`] / [`ZlClient::recv`] pair to
 //! keep a window of requests in flight — the server answers in order, so
 //! positional matching is enough.
+//!
+//! Like the server, the client writes on drain: queued requests go out
+//! when the next read could block, not on every [`ZlClient::flush`].
 
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -14,7 +17,7 @@ use std::os::unix::net::UnixStream;
 use zombieland_core::codec::{decode_response, encode, CodecError, RackResponse};
 use zombieland_core::protocol::RackOp;
 
-use crate::framing::{read_frame, write_frame, SHUTDOWN, STATS};
+use crate::framing::{has_whole_frame, read_frame, write_frame, SHUTDOWN, STATS};
 use crate::Endpoint;
 
 /// Client-side failures. A typed [`ErrorFrame`] answer from the server
@@ -117,29 +120,44 @@ impl ZlClient {
         })
     }
 
-    /// Queues one request. Buffered — pair with [`ZlClient::flush`] (or
-    /// just use [`ZlClient::call`]).
+    /// Queues one request. Buffered: it goes out by the next read at the
+    /// latest ([`ZlClient::flush`] asks for it sooner; [`ZlClient::call`]
+    /// is send + recv).
     pub fn send(&mut self, op: &RackOp) -> Result<(), ClientError> {
         write_frame(&mut self.writer, &encode(op))?;
         Ok(())
     }
 
-    /// Pushes queued requests onto the wire.
+    /// Pushes queued requests onto the wire, unless a whole response is
+    /// already buffered: then the write is deferred, and the requests
+    /// ride out with whatever is queued by the time the buffered answers
+    /// run dry. Every read path ([`ZlClient::recv`], [`ZlClient::stats`],
+    /// [`ZlClient::shutdown_server`]) writes queued requests before it
+    /// can block, so the client never waits on an answer to a request it
+    /// has not sent. Dropping the client writes anything still queued.
     pub fn flush(&mut self) -> Result<(), ClientError> {
-        self.writer.flush()?;
+        if !has_whole_frame(self.reader.buffer()) {
+            self.writer.flush()?;
+        }
         Ok(())
+    }
+
+    /// Reads the next in-order frame, flushing queued requests first if
+    /// the read could block.
+    fn read_next(&mut self) -> Result<Vec<u8>, ClientError> {
+        self.flush()?;
+        read_frame(&mut self.reader)?.ok_or(ClientError::Closed)
     }
 
     /// Reads the next in-order response.
     pub fn recv(&mut self) -> Result<RackResponse, ClientError> {
-        let payload = read_frame(&mut self.reader)?.ok_or(ClientError::Closed)?;
+        let payload = self.read_next()?;
         decode_response(&payload).map_err(ClientError::Codec)
     }
 
     /// One request, one response.
     pub fn call(&mut self, op: &RackOp) -> Result<RackResponse, ClientError> {
         self.send(op)?;
-        self.flush()?;
         self.recv()
     }
 
@@ -147,8 +165,7 @@ impl ZlClient {
     /// one frame of Prometheus-style exposition text back.
     pub fn stats(&mut self) -> Result<String, ClientError> {
         write_frame(&mut self.writer, &[STATS])?;
-        self.flush()?;
-        let payload = read_frame(&mut self.reader)?.ok_or(ClientError::Closed)?;
+        let payload = self.read_next()?;
         String::from_utf8(payload).map_err(|_| {
             ClientError::Io(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -160,8 +177,7 @@ impl ZlClient {
     /// Asks the daemon to shut down; resolves once it acknowledges.
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
         write_frame(&mut self.writer, &[SHUTDOWN])?;
-        self.flush()?;
-        let ack = read_frame(&mut self.reader)?.ok_or(ClientError::Closed)?;
+        let ack = self.read_next()?;
         if ack == [SHUTDOWN] {
             Ok(())
         } else {

@@ -30,6 +30,19 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.write_all(payload)
 }
 
+/// Whether `buf` starts with at least one whole frame: a complete
+/// header and every payload byte it declares. Both ends of a connection
+/// write out their buffered frames only when their read buffer fails
+/// this test, i.e. right before a read that may block. A trailing half
+/// frame does not count, so a peer that stalls mid-frame still gets the
+/// answers to the requests it sent whole.
+pub fn has_whole_frame(buf: &[u8]) -> bool {
+    match buf.first_chunk::<4>() {
+        Some(header) => buf.len() - 4 >= u32::from_le_bytes(*header) as usize,
+        None => false,
+    }
+}
+
 /// Reads one frame. `Ok(None)` on a clean end-of-stream (the peer closed
 /// between frames); an EOF mid-frame is an error.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
@@ -72,6 +85,22 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b"hello"[..]));
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b""[..]));
         assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn whole_frame_test_needs_the_header_and_every_payload_byte() {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, b"abc").unwrap();
+        assert!(!has_whole_frame(&[]), "empty buffer");
+        assert!(!has_whole_frame(&frame[..3]), "3 bytes: no whole header");
+        assert!(has_whole_frame(&0u32.to_le_bytes()), "zero-length frame");
+        assert!(
+            !has_whole_frame(&frame[..frame.len() - 1]),
+            "one byte short"
+        );
+        assert!(has_whole_frame(&frame), "exact length");
+        frame.push(0);
+        assert!(has_whole_frame(&frame), "trailing extra byte");
     }
 
     #[test]

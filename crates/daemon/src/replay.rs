@@ -10,10 +10,10 @@
 //!   `decision` a response carries is the controller's *modeled* server
 //!   time — a pure function of the request — so aggregating it is
 //!   scheduling-independent even with many concurrent clients.
-//! - **Wall-clock throughput** and the interleaving-dependent error
-//!   count, reported in the [`ReplaySummary`] only (never exported):
-//!   whether an allocation hits admission control depends on what other
-//!   clients did first.
+//! - **Wall-clock throughput**, client-observed round-trip times and
+//!   the interleaving-dependent error count, reported in the
+//!   [`ReplaySummary`] only (never exported): whether an allocation hits
+//!   admission control depends on what other clients did first.
 //!
 //! Per-client streams are seeded with `derive_seed(seed, client_index)`
 //! and captures are merged in client-index order, so the merged registry
@@ -21,6 +21,7 @@
 //! timing — changing `--clients` redistributes the same request budget
 //! across differently-seeded streams and is a different workload.
 
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use zombieland_core::codec::{encode, ResponseBody};
@@ -30,6 +31,7 @@ use zombieland_mem::buffer::BufferId;
 use zombieland_obs::profile;
 use zombieland_obs::sink::{counter_add, hist_record};
 use zombieland_obs::{observe, ObsRun};
+use zombieland_simcore::stats::quantile;
 use zombieland_simcore::{derive_seed, Bytes, DetRng};
 
 use crate::client::{ClientError, ZlClient};
@@ -81,6 +83,14 @@ pub struct ReplaySummary {
     pub p50_decision_ns: Option<u64>,
     /// See [`ReplaySummary::p50_decision_ns`].
     pub p99_decision_ns: Option<u64>,
+    /// Client-observed round-trip quantiles in µs, from `send` to the
+    /// matching `recv`, over every request of every client (exact, not
+    /// bucketed). Wall-clock, so never exported as a metric.
+    pub rtt_p50_us: Option<f64>,
+    /// See [`ReplaySummary::rtt_p50_us`].
+    pub rtt_p99_us: Option<f64>,
+    /// See [`ReplaySummary::rtt_p50_us`].
+    pub rtt_p999_us: Option<f64>,
 }
 
 impl ReplaySummary {
@@ -139,6 +149,13 @@ fn op_counter(op: &RackOp) -> &'static str {
     }
 }
 
+/// What one client thread brings back: its typed-error count and one
+/// round-trip time (µs) per request.
+struct StreamResult {
+    errors: u64,
+    rtt_us: Vec<f64>,
+}
+
 /// One client thread's share of the run.
 fn client_stream(
     endpoint: &Endpoint,
@@ -146,13 +163,15 @@ fn client_stream(
     stream_seed: u64,
     window: usize,
     servers: u32,
-) -> Result<u64, ClientError> {
+) -> Result<StreamResult, ClientError> {
     let mut client = ZlClient::connect(endpoint)?;
     let mut rng = DetRng::new(stream_seed);
     let window = window.max(1) as u64;
     let mut errors = 0u64;
     let mut sent = 0u64;
     let mut received = 0u64;
+    let mut sent_at = VecDeque::new();
+    let mut rtt_us = Vec::new();
     while received < requests {
         {
             let _span = profile::span(profile::Phase::ReplaySend);
@@ -161,6 +180,7 @@ fn client_stream(
                 counter_add("replay.requests", 1);
                 counter_add(op_counter(&op), 1);
                 hist_record("replay.request_bytes", encode(&op).len() as u64);
+                sent_at.push_back(Instant::now());
                 client.send(&op)?;
                 sent += 1;
             }
@@ -168,13 +188,17 @@ fn client_stream(
         }
         let _span = profile::span(profile::Phase::ReplayRecv);
         let resp = client.recv()?;
+        let at = sent_at
+            .pop_front()
+            .expect("a response answers a request sent");
+        rtt_us.push(at.elapsed().as_secs_f64() * 1e6);
         received += 1;
         hist_record("replay.decision_ns", resp.decision.as_nanos());
         if matches!(resp.body, ResponseBody::Error(_)) {
             errors += 1;
         }
     }
-    Ok(errors)
+    Ok(StreamResult { errors, rtt_us })
 }
 
 /// Runs a replay. Returns the summary plus the merged deterministic
@@ -200,6 +224,7 @@ pub fn run_replay(cfg: &ReplayConfig) -> Result<(ReplaySummary, ObsRun), ClientE
 
     let mut merged = ObsRun::new(zombieland_obs::ObsLevel::Summary);
     let mut errors = 0u64;
+    let mut rtt_us = Vec::new();
     let mut first_err: Option<ClientError> = None;
     for h in handles {
         let (result, run) = h.join().expect("replay client panicked");
@@ -207,7 +232,10 @@ pub fn run_replay(cfg: &ReplayConfig) -> Result<(ReplaySummary, ObsRun), ClientE
         // so the registry is scheduling-independent either way.
         merged.absorb(run);
         match result {
-            Ok(e) => errors += e,
+            Ok(r) => {
+                errors += r.errors;
+                rtt_us.extend(r.rtt_us);
+            }
             Err(e) => first_err = first_err.or(Some(e)),
         }
     }
@@ -222,6 +250,9 @@ pub fn run_replay(cfg: &ReplayConfig) -> Result<(ReplaySummary, ObsRun), ClientE
         wall_secs,
         p50_decision_ns: hist.and_then(|h| h.quantile(0.5)),
         p99_decision_ns: hist.and_then(|h| h.quantile(0.99)),
+        rtt_p50_us: quantile(&rtt_us, 0.5),
+        rtt_p99_us: quantile(&rtt_us, 0.99),
+        rtt_p999_us: quantile(&rtt_us, 0.999),
     };
     Ok((summary, merged))
 }

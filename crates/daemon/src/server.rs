@@ -11,7 +11,13 @@
 //! in-flight request has been answered; the one-byte [`framing::STATS`]
 //! payload is answered with one frame of Prometheus-style exposition
 //! text (merged from the per-connection telemetry shards, with the
-//! model's live gauges overlaid).
+//! model's live gauges and the open-connection count overlaid).
+//!
+//! A connection writes its answers out only when it is about to wait:
+//! after each request it flushes only if the read buffer holds no whole
+//! frame ([`framing::has_whole_frame`]). A pipelined burst of requests
+//! thus costs one `write`, not one per answer, while a lone request, or
+//! one followed by half a frame, is answered at once.
 //!
 //! All state lives in one [`ClusterModel`] behind a mutex: the controller
 //! is intentionally a single serialization point (the paper's GS is one
@@ -22,7 +28,7 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use zombieland_core::codec::{decode, encode_response, ErrorFrame, RackResponse, ResponseBody};
@@ -30,7 +36,7 @@ use zombieland_core::protocol::RackOp;
 use zombieland_obs::telemetry::{self, Telemetry, TelemetryHandle};
 use zombieland_simcore::SimDuration;
 
-use crate::framing::{read_frame, write_frame, SHUTDOWN, STATS};
+use crate::framing::{has_whole_frame, read_frame, write_frame, SHUTDOWN, STATS};
 use crate::model::ClusterModel;
 use crate::Endpoint;
 
@@ -91,6 +97,7 @@ pub struct Daemon {
     model: Arc<Mutex<ClusterModel>>,
     stop: Arc<AtomicBool>,
     telemetry: Arc<Telemetry>,
+    connections_open: Arc<AtomicUsize>,
 }
 
 impl Daemon {
@@ -116,6 +123,7 @@ impl Daemon {
             model: Arc::new(Mutex::new(model)),
             stop: Arc::new(AtomicBool::new(false)),
             telemetry: Arc::new(Telemetry::new(telemetry::DEFAULT_SHARDS)),
+            connections_open: Arc::new(AtomicUsize::new(0)),
         })
     }
 
@@ -148,8 +156,9 @@ impl Daemon {
             let stop = Arc::clone(&self.stop);
             let local = self.local.clone();
             let telemetry = self.telemetry.handle();
+            let open = Arc::clone(&self.connections_open);
             std::thread::spawn(move || {
-                let _ = serve_conn(stream, &model, &stop, &local, &telemetry);
+                let _ = serve_conn(stream, &model, &stop, &local, &telemetry, &open);
             });
         }
         #[cfg(unix)]
@@ -157,6 +166,24 @@ impl Daemon {
             let _ = std::fs::remove_file(path);
         }
         Ok(())
+    }
+}
+
+/// Counts one live connection thread for the `zombied.connections_open`
+/// gauge; dropping it uncounts the connection on every exit path, a
+/// transport error or a panic included.
+struct OpenConnection<'a>(&'a AtomicUsize);
+
+impl<'a> OpenConnection<'a> {
+    fn count(open: &'a AtomicUsize) -> Self {
+        open.fetch_add(1, Ordering::SeqCst);
+        OpenConnection(open)
+    }
+}
+
+impl Drop for OpenConnection<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -213,10 +240,19 @@ fn err_counter(e: &ErrorFrame) -> &'static str {
 }
 
 /// Answers a `[STATS]` admin frame: merge the telemetry shards, overlay
-/// the model's live state (under the model lock, briefly), render.
-fn scrape_exposition(model: &Mutex<ClusterModel>, telemetry: &Arc<Telemetry>) -> String {
+/// the model's live state (under the model lock, briefly) and the open
+/// connections (the scraping one included), render.
+fn scrape_exposition(
+    model: &Mutex<ClusterModel>,
+    telemetry: &Arc<Telemetry>,
+    connections_open: &AtomicUsize,
+) -> String {
     let mut merged = telemetry.scrape();
     model.lock().expect("model lock").observe_into(&mut merged);
+    merged.gauge_set(
+        "zombied.connections_open",
+        connections_open.load(Ordering::SeqCst) as u64,
+    );
     telemetry::expose(&merged)
 }
 
@@ -226,7 +262,9 @@ fn serve_conn(
     stop: &AtomicBool,
     local: &Endpoint,
     telemetry: &TelemetryHandle,
+    connections_open: &AtomicUsize,
 ) -> io::Result<()> {
+    let _open = OpenConnection::count(connections_open);
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     telemetry.counter_add("zombied.connections", 1);
@@ -240,39 +278,53 @@ fn serve_conn(
         }
         if payload == [STATS] {
             telemetry.counter_add("zombied.stats_scrapes", 1);
-            let text = scrape_exposition(model, telemetry.telemetry());
+            let text = scrape_exposition(model, telemetry.telemetry(), connections_open);
             write_frame(&mut writer, text.as_bytes())?;
-            writer.flush()?;
-            continue;
+        } else {
+            let response = answer(&payload, model, telemetry);
+            write_frame(&mut writer, &encode_response(&response))?;
         }
-        let (op, response) = match decode(&payload) {
-            Ok(op) => {
-                let response = model.lock().expect("model lock").apply(&op);
-                (Some(op), response)
-            }
-            Err(e) => (
-                None,
-                RackResponse {
-                    decision: SimDuration::ZERO,
-                    body: ResponseBody::Error(ErrorFrame::bad_request(e)),
-                },
-            ),
-        };
-        // One shard lock for the whole request's worth of samples; the
-        // model lock is already released.
-        telemetry.with(|reg| {
-            match &op {
-                Some(op) => reg.counter_add(op_counter(op), 1),
-                None => reg.counter_add("zombied.bad_frames", 1),
-            }
-            reg.counter_add(resp_counter(&response.body), 1);
-            if let ResponseBody::Error(e) = &response.body {
-                reg.counter_add(err_counter(e), 1);
-            }
-            reg.hist_record("zombied.decision_ns", response.decision.as_nanos());
-        });
-        write_frame(&mut writer, &encode_response(&response))?;
-        writer.flush()?;
+        // Write on drain: hold the answers while another whole request
+        // is already buffered, so a pipelined burst costs one write.
+        if !has_whole_frame(reader.buffer()) {
+            writer.flush()?;
+        }
     }
     Ok(())
+}
+
+/// Decodes and applies one request frame, recording its telemetry. An
+/// undecodable payload is answered with a typed `BadRequest`.
+fn answer(
+    payload: &[u8],
+    model: &Mutex<ClusterModel>,
+    telemetry: &TelemetryHandle,
+) -> RackResponse {
+    let (op, response) = match decode(payload) {
+        Ok(op) => {
+            let response = model.lock().expect("model lock").apply(&op);
+            (Some(op), response)
+        }
+        Err(e) => (
+            None,
+            RackResponse {
+                decision: SimDuration::ZERO,
+                body: ResponseBody::Error(ErrorFrame::bad_request(e)),
+            },
+        ),
+    };
+    // One shard lock for the whole request's worth of samples; the
+    // model lock is already released.
+    telemetry.with(|reg| {
+        match &op {
+            Some(op) => reg.counter_add(op_counter(op), 1),
+            None => reg.counter_add("zombied.bad_frames", 1),
+        }
+        reg.counter_add(resp_counter(&response.body), 1);
+        if let ResponseBody::Error(e) = &response.body {
+            reg.counter_add(err_counter(e), 1);
+        }
+        reg.hist_record("zombied.decision_ns", response.decision.as_nanos());
+    });
+    response
 }

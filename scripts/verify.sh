@@ -244,6 +244,7 @@ grep -q '"schema": "zombieland-replay-v1"' "$ZL_DIR/r1.json"
 grep -q '"requests": 2000' "$ZL_DIR/r1.json"
 grep -q '"throughput_rps"' "$ZL_DIR/r1.json"
 grep -q '"host_parallelism"' "$ZL_DIR/r1.json"
+grep -q '"rtt_p99_us"' "$ZL_DIR/r1.json"
 # Telemetry: the per-op counters scraped over the STATS op must equal
 # exactly the ops served so far (7 one-shot zlctl ops + 2×2000 replay
 # requests; STATS frames themselves are not ops).
@@ -276,6 +277,15 @@ if [ "$(wc -l < "$ZL_DIR/top.txt")" -ne 3 ]; then
     exit 1
 fi
 grep -q 'req/s' "$ZL_DIR/top.txt"
+# Both ends write on drain. A client with one request in flight must
+# still get every answer: a deferred write that never happens would
+# hang here, so the run is bounded.
+if ! timeout 60 ./target/release/zombieland-cli replay --connect "$ZL_EP" \
+    --requests 500 --clients 1 --window 1 --seed 9 --servers 8 \
+    --out "$ZL_DIR/r3.json" > /dev/null; then
+    echo "verify: FAIL — a window-1 replay did not finish cleanly" >&2
+    exit 1
+fi
 ./target/release/zlctl --connect "$ZL_EP" shutdown > /dev/null
 wait "$ZOMBIED_PID"
 ZOMBIED_PID=""
