@@ -32,7 +32,7 @@ use crate::policy::MigrantVm;
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum ScanReq {
     /// First active host in stacking order that admits an arrival. The
-    /// walk starts at `by_booked` key `from` (see `dc::seek_key`).
+    /// walk starts at stacking-order key `from` (see `dc::seek_key`).
     Admit {
         cpu: f64,
         cpu_used: f64,
@@ -56,18 +56,6 @@ pub(crate) enum ScanReq {
     IdleZombie,
 }
 
-impl ScanReq {
-    /// The same walk started at the first `by_booked` entry, or `None`
-    /// for a scan that is not a seeking walk (or already starts there).
-    pub(crate) fn unseeked(mut self) -> Option<ScanReq> {
-        match &mut self {
-            ScanReq::Admit { from, .. } | ScanReq::Migrate { from, .. } if *from != 0 => *from = 0,
-            _ => return None,
-        }
-        Some(self)
-    }
-}
-
 /// A scan's answer over one or more shards.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct ScanHit {
@@ -78,10 +66,13 @@ pub(crate) struct ScanHit {
     pub(crate) best: Option<(u64, usize)>,
     /// Hosts an `Admit`/`Migrate` walk visited (0 for the other scans).
     pub(crate) examined: u64,
+    /// Blocks an `Admit`/`Migrate` walk skipped on their best-case
+    /// summary (0 for the other scans).
+    pub(crate) skipped: u64,
 }
 
 /// Merges two shard answers: tuple minimum (`None` loses to anything),
-/// examined counts add.
+/// examined and skipped counts add.
 pub(crate) fn merge_hit(a: ScanHit, b: ScanHit) -> ScanHit {
     let best = match (a.best, b.best) {
         (Some(x), Some(y)) => Some(x.min(y)),
@@ -91,6 +82,7 @@ pub(crate) fn merge_hit(a: ScanHit, b: ScanHit) -> ScanHit {
     ScanHit {
         best,
         examined: a.examined + b.examined,
+        skipped: a.skipped + b.skipped,
     }
 }
 

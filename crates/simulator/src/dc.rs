@@ -33,6 +33,7 @@ use zombieland_trace::google::ClusterTrace;
 use crate::crew::{merge_hit, Crew, ScanHit, ScanReq, CREW_MIN_FLEET};
 use crate::policy::{HostLoad, WakePreference};
 use crate::report::SimReport;
+use crate::stack::{booked_key, total_key, StackOrder};
 use crate::SimConfig;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -81,6 +82,17 @@ pub(crate) struct Hosts {
 impl Hosts {
     pub(crate) fn len(&self) -> usize {
         self.state.len()
+    }
+
+    /// The [`HostLoad`] view of host `i` the policy traits judge.
+    /// Policies see the host's *own* capacity — per-generation in
+    /// heterogeneous fleets — not a global constant.
+    fn load(&self, i: usize) -> HostLoad {
+        HostLoad {
+            cpu_booked: self.cpu_booked[i],
+            cpu_used: self.cpu_used[i],
+            free_local: (self.cap[i] - self.mem_local[i]).max(0.0),
+        }
     }
 
     /// A mutable view of one host's policy-visible fields, for
@@ -140,30 +152,12 @@ struct PendingMove {
     taken: f64,
 }
 
-/// Monotone `u64` image of `f64` under `total_cmp` order:
-/// `total_key(a) < total_key(b)` iff `a.total_cmp(&b) == Less`.
-fn total_key(v: f64) -> u64 {
-    let b = v.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | (1 << 63)
-    }
-}
-
-/// Key for [`Shard::by_booked`]: ascending key order walks hosts
-/// most-booked first with ties toward the lower index — the stacking
-/// preference order the serial `active_by_booked` list used.
-fn booked_key(v: f64) -> u64 {
-    !total_key(v)
-}
-
 /// Headroom added to a seek bound so rounding in `limit - cpu` can only
 /// make the seek skip *fewer* hosts: far above one ulp of the booked
 /// loads (~2e-16 near 1.0), far below any booking the trace produces.
 const SEEK_MARGIN: f64 = 1e-12;
 
-/// The `by_booked` key a first-fit walk for a VM booking `cpu` starts
+/// The stacking-order key a first-fit walk for a VM booking `cpu` starts
 /// at, given the policy's booked-CPU ceiling (`0`, the first possible
 /// key, walks everything).
 ///
@@ -189,25 +183,6 @@ fn seek_key(ceiling: Option<f64>, cpu: f64) -> u64 {
     }
 }
 
-/// The first entry of `shard`'s stacking order at or after key `from`
-/// that passes `fits`, and how many hosts the walk visited.
-fn first_fit(shard: &Shard, from: u64, mut fits: impl FnMut(usize) -> bool) -> ScanHit {
-    let mut examined = 0;
-    for &(key, i) in shard.by_booked.range((from, 0)..) {
-        examined += 1;
-        if fits(i) {
-            return ScanHit {
-                best: Some((key, i)),
-                examined,
-            };
-        }
-    }
-    ScanHit {
-        best: None,
-        examined,
-    }
-}
-
 /// Merge key for minimum-value scans (wake picks, the overcommit
 /// fallback). The serial scans compared with plain `<`, under which
 /// `-0.0` and `+0.0` tie and the first (lowest-index) host wins;
@@ -228,10 +203,11 @@ pub(crate) struct Shard {
     /// Active hosts, ascending index.
     active: BTreeSet<usize>,
     /// Active hosts keyed by `(booked_key(cpu_booked), index)` — the
-    /// stacking preference order. The key is built from the host's
-    /// exact stored bits at index time; `update_host` repositions
-    /// entries whenever the value changes.
-    by_booked: BTreeSet<(u64, usize)>,
+    /// stacking preference order, in summarized blocks. The key is built
+    /// from the host's exact stored bits at index time; `update_host`
+    /// repositions entries whenever the value changes and refreshes a
+    /// block's summary whenever a host's usage or memory does.
+    stack: StackOrder,
     /// Sleeping and zombie hosts (the wake candidates), ascending index.
     nonactive: BTreeSet<usize>,
 }
@@ -299,6 +275,9 @@ pub(crate) struct Dc {
     /// Per-rack free-pool snapshot taken at the start of each placement
     /// scan, so `fits` stops re-summing the pool per candidate host.
     pool_buf: Vec<f64>,
+    /// The largest entry of [`Dc::pool_buf`]: the pool a block's
+    /// best-case corner is judged with.
+    pool_max: f64,
     /// Persistent buffer for the remote-holder walk in
     /// [`Dc::shed_vm_remote`].
     shed_buf: Vec<usize>,
@@ -359,9 +338,7 @@ impl Dc {
                         .expect("the energy crate models every table generation"),
                 );
             }
-            let shard = &mut shards[r as usize % nshards];
-            shard.active.insert(i);
-            shard.by_booked.insert((booked_key(0.0), i));
+            shards[r as usize % nshards].active.insert(i);
             by_used.insert((merge_key(0.0), i));
         }
         // The crew only pays off when a scan has real work per shard;
@@ -418,12 +395,22 @@ impl Dc {
             order_buf: Vec::new(),
             evac_buf: Vec::new(),
             pool_buf: Vec::new(),
+            pool_max: 0.0,
             shed_buf: Vec::new(),
             crew,
             validate_on: validate_enabled(),
             cfg: cfg.clone(),
             state_counts: [n as u64, 0, 0],
         };
+        // The stacking order summarizes live loads, so it fills once the
+        // host table exists.
+        for i in 0..n {
+            let s = dc.shard_of(i);
+            let hosts = &dc.hosts;
+            dc.shards[s]
+                .stack
+                .insert((booked_key(0.0), i), |j| hosts.load(j));
+        }
         // Initial fleet power: everything on and idle. An empty fleet
         // has no host 0 to sample (and draws nothing). The uniform-fleet
         // branch keeps the historical one-sample-times-n float expression
@@ -467,6 +454,7 @@ impl Dc {
         let state_before = self.hosts.state[h];
         let booked_before = self.hosts.cpu_booked[h];
         let used_before = self.hosts.cpu_used[h];
+        let mem_before = self.hosts.mem_local[h];
         f(self.hosts.view_mut(h));
         let after = self.host_power(h);
         let state_after = self.hosts.state[h];
@@ -476,18 +464,20 @@ impl Dc {
             self.state_counts[state_index(state_after)] += 1;
             self.index_host(h, state_before, state_after, booked_before, booked_after);
         } else if state_after == HState::Active {
+            let used_changed = self.hosts.cpu_used[h].total_cmp(&used_before) != Ordering::Equal;
+            let s = self.shard_of(h);
+            let hosts = &self.hosts;
+            let stack = &mut self.shards[s].stack;
             if booked_after.total_cmp(&booked_before) != Ordering::Equal {
                 // total_cmp (not `!=`) so a -0.0/+0.0 flip still repositions
                 // and the stored key always matches the host's exact bits.
-                let s = self.shard_of(h);
-                let shard = &mut self.shards[s];
-                let removed = shard.by_booked.remove(&(booked_key(booked_before), h));
+                let removed = stack.remove((booked_key(booked_before), h), |i| hosts.load(i));
                 debug_assert!(removed, "active host indexed under its old booked key");
-                shard.by_booked.insert((booked_key(booked_after), h));
+                stack.insert((booked_key(booked_after), h), |i| hosts.load(i));
+            } else if used_changed || hosts.mem_local[h].total_cmp(&mem_before) != Ordering::Equal {
+                stack.refresh((booked_key(booked_after), h), |i| hosts.load(i));
             }
-            if self.hosts.cpu_used[h].total_cmp(&used_before) != Ordering::Equal
-                && !self.used_dirty_flag[h]
-            {
+            if used_changed && !self.used_dirty_flag[h] {
                 // Lazy: the ordered `by_used` key is repositioned at the
                 // next consolidation round, not on every arrive/depart.
                 self.used_dirty_flag[h] = true;
@@ -502,11 +492,14 @@ impl Dc {
     fn index_host(&mut self, h: usize, from: HState, to: HState, booked_old: f64, booked_new: f64) {
         let rack = self.hosts.rack[h] as usize;
         let s = self.shard_of(h);
+        let hosts = &self.hosts;
         let shard = &mut self.shards[s];
         match from {
             HState::Active => {
                 shard.active.remove(&h);
-                let removed = shard.by_booked.remove(&(booked_key(booked_old), h));
+                let removed = shard
+                    .stack
+                    .remove((booked_key(booked_old), h), |i| hosts.load(i));
                 debug_assert!(removed, "active host indexed under its old booked key");
                 // Membership is eager even though key *values* are lazy:
                 // the stored key is whatever `used_key` last recorded.
@@ -525,7 +518,9 @@ impl Dc {
         match to {
             HState::Active => {
                 shard.active.insert(h);
-                shard.by_booked.insert((booked_key(booked_new), h));
+                shard
+                    .stack
+                    .insert((booked_key(booked_new), h), |i| hosts.load(i));
                 // Re-sync the used key eagerly on (re)activation so the
                 // entry is live even if no further load change follows.
                 let key = merge_key(self.hosts.cpu_used[h]);
@@ -556,6 +551,7 @@ impl Dc {
         } else {
             buf.resize(racks as usize, 0.0);
         }
+        self.pool_max = buf.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         self.pool_buf = buf;
     }
 
@@ -652,17 +648,6 @@ impl Dc {
         }
     }
 
-    /// The [`HostLoad`] view of `host` the policy traits judge. Policies
-    /// see the host's *own* capacity — per-generation in heterogeneous
-    /// fleets — not a global constant.
-    fn host_load(&self, host: usize) -> HostLoad {
-        HostLoad {
-            cpu_booked: self.hosts.cpu_booked[host],
-            cpu_used: self.hosts.cpu_used[host],
-            free_local: (self.hosts.cap[host] - self.hosts.mem_local[host]).max(0.0),
-        }
-    }
-
     /// Whether `host` can take the task under the policy's placement
     /// rule; returns the local share it would use. `pool` is the free
     /// remote pool of the host's rack (snapshot or fresh — the caller
@@ -674,7 +659,45 @@ impl Dc {
         self.cfg
             .policy
             .placement
-            .admit(&self.host_load(host), cpu, cpu_used, mem, pool)
+            .admit(&self.hosts.load(host), cpu, cpu_used, mem, pool)
+    }
+
+    /// Whether host `i` passes an `Admit`/`Migrate` scan: the policy's
+    /// own verdict on the host, against its rack's snapshot pool.
+    fn scan_fits(&self, req: &ScanReq, i: usize) -> bool {
+        let pool = self.pool_buf[self.hosts.rack[i] as usize];
+        match *req {
+            ScanReq::Admit {
+                cpu, cpu_used, mem, ..
+            } => self.fits(i, cpu, cpu_used, mem, pool).is_some(),
+            ScanReq::Migrate { ref vm, skip, .. } => {
+                i != skip && self.consolidation_fits(i, vm, pool)
+            }
+            _ => unreachable!("{req:?} is not a stacking-order walk"),
+        }
+    }
+
+    /// Whether a block whose best case is `corner` may hold a host that
+    /// passes `req`: the same policy rule, judged on the corner with the
+    /// largest snapshot pool. Policies are monotone, so `false` rules
+    /// out every host in the block.
+    fn corner_passes(&self, req: &ScanReq, corner: &HostLoad) -> bool {
+        let policy = self.cfg.policy;
+        match *req {
+            ScanReq::Admit {
+                cpu, cpu_used, mem, ..
+            } => policy
+                .placement
+                .admit(corner, cpu, cpu_used, mem, self.pool_max)
+                .is_some(),
+            ScanReq::Migrate { ref vm, .. } => policy.consolidation.accepts_migration(
+                corner,
+                vm,
+                self.pool_max,
+                self.cfg.cpu_fill_cap,
+            ),
+            _ => unreachable!("{req:?} is not a stacking-order walk"),
+        }
     }
 
     /// Answers one decision scan over shard `s`. Read-only — this is
@@ -682,12 +705,13 @@ impl Dc {
     /// are built so the tuple minimum across shards equals the serial
     /// full-scan answer:
     ///
-    /// - `Admit`/`Migrate` walk `by_booked` in stacking order from the
-    ///   request's seek key ([`seek_key`]: every host before it fails
-    ///   the policy's booked ceiling) and stop at the shard's first fit;
-    ///   the key is the entry's stored booked key, so the cross-shard
-    ///   minimum is the globally first-fitting entry of the
-    ///   (conceptual) merged stacking order.
+    /// - `Admit`/`Migrate` walk the stacking order from the request's
+    ///   seek key ([`seek_key`]: every host before it fails the
+    ///   policy's booked ceiling), skip each block whose best case the
+    ///   policy rejects, and stop at the shard's first fit; the key is
+    ///   the entry's stored booked key, so the cross-shard minimum is
+    ///   the globally first-fitting entry of the (conceptual) merged
+    ///   stacking order.
     /// - `WakeZombie`/`LeastUsed` minimize a canonicalized float key
     ///   ([`merge_key`]), reproducing the serial strict-`<` first-min.
     /// - `Sleeping`/`IdleZombie` want the lowest host index; the key is
@@ -695,22 +719,12 @@ impl Dc {
     pub(crate) fn scan_shard(&self, s: usize, req: &ScanReq) -> ScanHit {
         let shard = &self.shards[s];
         let best = match *req {
-            ScanReq::Admit {
-                cpu,
-                cpu_used,
-                mem,
-                from,
-            } => {
-                return first_fit(shard, from, |i| {
-                    let pool = self.pool_buf[self.hosts.rack[i] as usize];
-                    self.fits(i, cpu, cpu_used, mem, pool).is_some()
-                })
-            }
-            ScanReq::Migrate { ref vm, skip, from } => {
-                return first_fit(shard, from, |i| {
-                    let pool = self.pool_buf[self.hosts.rack[i] as usize];
-                    i != skip && self.consolidation_fits(i, vm, pool)
-                })
+            ScanReq::Admit { from, .. } | ScanReq::Migrate { from, .. } => {
+                return shard.stack.first_fit(
+                    from,
+                    |corner| self.corner_passes(req, corner),
+                    |i| self.scan_fits(req, i),
+                )
             }
             ScanReq::WakeZombie => {
                 let mut best = None;
@@ -744,7 +758,10 @@ impl Dc {
                 })
                 .map(|&i| (0, i)),
         };
-        ScanHit { best, examined: 0 }
+        ScanHit {
+            best,
+            ..ScanHit::default()
+        }
     }
 
     /// Runs `req` over every shard on the calling thread.
@@ -754,11 +771,21 @@ impl Dc {
         })
     }
 
+    /// The reference answer to an `Admit`/`Migrate` scan: every shard
+    /// walked from its first entry, judging every host (no seek, no
+    /// block skipping), merged by key.
+    fn first_fit_unsummarized(&self, req: &ScanReq) -> Option<(u64, usize)> {
+        self.shards
+            .iter()
+            .filter_map(|shard| shard.stack.iter().find(|&(_, i)| self.scan_fits(req, i)))
+            .min()
+    }
+
     /// Runs `req` over every shard — on the crew when one is up, inline
     /// otherwise — and returns the winning host. Under [`Dc::validate_on`]
-    /// a seeking walk is re-run from the first entry and must pick the
-    /// same host, so every debug run checks the seek against the full
-    /// walk.
+    /// every `Admit`/`Migrate` walk is re-run from the first entry
+    /// without seek or block skipping and must pick the same host, so
+    /// every debug run checks both against the full walk.
     fn scan_merged(&self, req: ScanReq) -> Option<usize> {
         let hit = match &self.crew {
             Some(crew) => {
@@ -768,30 +795,26 @@ impl Dc {
             }
             None => self.scan_inline(&req),
         };
+        let (examined, skipped) = match req {
+            ScanReq::Admit { .. } => ("sim.admit.hosts_examined", "sim.admit.blocks_skipped"),
+            ScanReq::Migrate { .. } => ("sim.migrate.hosts_examined", "sim.migrate.blocks_skipped"),
+            _ => return hit.best.map(|(_, i)| i),
+        };
         if self.validate_on {
-            if let Some(full) = req.unseeked() {
-                assert_eq!(
-                    hit.best,
-                    self.scan_inline(&full).best,
-                    "booked-ceiling seek changed the answer to {req:?}"
-                );
-            }
+            assert_eq!(
+                hit.best,
+                self.first_fit_unsummarized(&req),
+                "the seek or a block skip changed the answer to {req:?}"
+            );
         }
-        match req {
-            ScanReq::Admit { .. } => {
-                zombieland_obs::sink::hist_record("sim.admit.hosts_examined", hit.examined)
-            }
-            ScanReq::Migrate { .. } => {
-                zombieland_obs::sink::hist_record("sim.migrate.hosts_examined", hit.examined)
-            }
-            _ => {}
-        }
+        zombieland_obs::sink::hist_record(examined, hit.examined);
+        zombieland_obs::sink::hist_record(skipped, hit.skipped);
         hit.best.map(|(_, i)| i)
     }
 
     /// Stacking choice: the fittable active host with the highest booked
     /// CPU (ties to the lowest index, as the old ascending full scan
-    /// resolved them). Each shard's `by_booked` walk *is* that
+    /// resolved them). Each shard's stacking-order walk *is* that
     /// preference order restricted to the shard, so the key-merged first
     /// fits are the answer — no ranking pass. One pool snapshot serves
     /// the whole scan.
@@ -1019,8 +1042,8 @@ impl Dc {
             );
             assert_eq!(
                 shard
-                    .by_booked
-                    .contains(&(booked_key(self.hosts.cpu_booked[i]), i)),
+                    .stack
+                    .contains((booked_key(self.hosts.cpu_booked[i]), i)),
                 state == HState::Active,
                 "host {i}: booked-key membership disagrees with {state:?} \
                  (or the indexed key drifted from the live value)"
@@ -1048,12 +1071,17 @@ impl Dc {
                 "host {i}: rack {rack} zombie-set membership disagrees with {state:?}"
             );
         }
+        // Each stacking order holds exactly its shard's active hosts, in
+        // well-formed blocks whose summaries match their hosts.
+        for (s, shard) in self.shards.iter().enumerate() {
+            assert_eq!(
+                shard.stack.len(),
+                shard.active.len(),
+                "shard {s}: stacking order covers exactly the active hosts"
+            );
+            shard.stack.check(|i| self.hosts.load(i));
+        }
         let active_total: usize = self.shards.iter().map(|s| s.active.len()).sum();
-        let booked_total: usize = self.shards.iter().map(|s| s.by_booked.len()).sum();
-        assert_eq!(
-            booked_total, active_total,
-            "booked-ordered sets cover exactly the active hosts"
-        );
         assert_eq!(
             self.by_used.len(),
             active_total,
@@ -1404,7 +1432,7 @@ impl Dc {
             return false;
         }
         self.cfg.policy.consolidation.accepts_migration(
-            &self.host_load(target),
+            &self.hosts.load(target),
             vm,
             pool,
             self.cfg.cpu_fill_cap,

@@ -39,6 +39,7 @@ mod events;
 pub mod policy;
 mod power;
 mod report;
+mod stack;
 #[cfg(test)]
 mod tests;
 

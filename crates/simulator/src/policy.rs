@@ -56,6 +56,17 @@ pub trait PlacementPolicy: Send + Sync + fmt::Debug {
     /// actual usage `cpu_used`, given `pool` free remote memory in the
     /// host's rack. Returns the local memory share the VM would take, or
     /// `None` to reject.
+    ///
+    /// Must be *monotone*: if `admit` accepts a host, it accepts every
+    /// host that is no worse on each axis — `cpu_booked` and `cpu_used`
+    /// `<=`, `free_local` and `pool` `>=` (numerically, so `-0.0` and
+    /// `0.0` are the same value). The admission scan asks once per block
+    /// of the stacking order about the block's best case (its least
+    /// booking and usage, its most free memory, the scan's largest pool)
+    /// and skips the block without asking about its hosts when that is
+    /// rejected. Comparisons of sums of the arguments are monotone as
+    /// written, since float rounding is. `tests/policy_monotone.rs`
+    /// checks every registered policy.
     fn admit(&self, host: &HostLoad, cpu: f64, cpu_used: f64, mem: f64, pool: f64) -> Option<f64>;
 
     /// Whether placement consumes the rack-local remote pool (drives the
@@ -120,6 +131,11 @@ pub trait ConsolidationPolicy: Send + Sync + fmt::Debug {
     /// Whether `host` can receive the migrating VM `vm`. `pool` is the
     /// free remote pool of the host's rack, `cpu_fill_cap` the
     /// configured booked-CPU packing cap.
+    ///
+    /// Must be *monotone* in `host` and `pool` for a fixed `vm` and
+    /// `cpu_fill_cap`, as [`PlacementPolicy::admit`] is: the migration
+    /// scan skips every block of the stacking order whose best case is
+    /// rejected.
     fn accepts_migration(
         &self,
         host: &HostLoad,

@@ -112,6 +112,17 @@ if ./target/release/zombieland-cli --shards 0 simulate --servers 24 --days 1 \
     exit 1
 fi
 
+echo "==> block-skip smoke (release runs re-walk every admission/migration pick in full)"
+# ZL_VALIDATE=1 arms the invariant sweep (block summaries bit-equal to
+# their hosts) and the cross-check of every seeking, block-skipping walk
+# against an unskipped walk from the first entry; a mismatch panics.
+for policy in neat oasis zombiestack; do
+    ZL_VALIDATE=1 ZL_RACKS=6 ./target/release/zombieland-cli simulate \
+        --servers 120 --days 1 --policy "$policy" > /dev/null
+done
+ZL_VALIDATE=1 ZL_RACKS=6 ZL_BACKEND=cxl ./target/release/zombieland-cli simulate \
+    --servers 120 --days 1 --policy zombiestack > /dev/null
+
 echo "==> streaming-memory guard (paper-preset bench bounds the resident event queue)"
 ZL_PAPER=$(mktemp /tmp/zl-paper.XXXXXX.json)
 trap 'rm -f "$ZL_TRACE" "$ZL_BENCH" "$ZL_J1" "$ZL_J2" "$ZL_SCEN" "$ZL_ENV" \

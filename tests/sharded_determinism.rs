@@ -114,10 +114,10 @@ fn crew_threads_change_nothing() {
     }
 }
 
-/// The hosts-examined work counters are a property of the shard count,
-/// not of the threads: with the crew scanning (above the crew gate, a
-/// budget of 2) every admission and migration scan records the same
-/// sample it records inline.
+/// The hosts-examined and blocks-skipped work counters are a property
+/// of the shard count, not of the threads: with the crew scanning
+/// (above the crew gate, a budget of 2) every admission and migration
+/// scan records the same samples it records inline.
 #[test]
 fn hosts_examined_counters_are_job_invariant() {
     use zombieland::obs::{observe, ObsLevel};
@@ -132,7 +132,13 @@ fn hosts_examined_counters_are_job_invariant() {
         let (_, run) = observe(ObsLevel::Summary, || {
             run(&trace, PolicyKind::ZombieStack, 13, 4, jobs)
         });
-        ["sim.admit.hosts_examined", "sim.migrate.hosts_examined"].map(|name| {
+        [
+            "sim.admit.hosts_examined",
+            "sim.migrate.hosts_examined",
+            "sim.admit.blocks_skipped",
+            "sim.migrate.blocks_skipped",
+        ]
+        .map(|name| {
             let h = run.metrics.histogram(name).cloned();
             assert!(h.as_ref().is_some_and(|h| h.count > 0), "{name} recorded");
             h
