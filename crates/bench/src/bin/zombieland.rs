@@ -34,15 +34,16 @@
 //! thread count.
 //!
 //! `bench --paper` replaces the scaling grids with one full-paper-scale
-//! pass (12,583 servers × 29 days, seeded): AlwaysOn and ZombieStack on
-//! the rack-sharded event loop, recording `events_per_sec` and
-//! `peak_event_queue_len` per run in the `BENCH_<stamp>.json`.
+//! pass (12,583 servers × 29 days, seeded): AlwaysOn and ZombieStack,
+//! recording `events_per_sec` and `peak_event_queue_len` per run in the
+//! `BENCH_<stamp>.json`.
 //!
 //! Experiment knobs resolve through the typed scenario layer
 //! (`zombieland_core::scenario`), highest precedence first: CLI flags
-//! (`--shards N` is global), `ZL_*` environment variables, a
+//! (`--backend KEY` is global), `ZL_*` environment variables, a
 //! `--scenario FILE` (`key = value` lines: scale, servers, days, racks,
-//! shards, runs, jobs, validate), then the paper's defaults.
+//! runs, jobs, validate, backend, cxl_cap, generations), then the
+//! paper's defaults.
 //!
 //! The global flags work with every subcommand: `--scenario FILE` loads
 //! a scenario, `--obs-level off|summary|full` selects what gets
@@ -86,7 +87,7 @@ fn usage() -> ExitCode {
          zombieland list\n  \
          zombieland --list-policies\n  \
          zombieland --list-backends\n\
-         global flags: --scenario FILE --shards N --backend KEY \
+         global flags: --scenario FILE --backend KEY \
          --obs-level off|summary|full \
          --trace-out FILE --metrics-out FILE --profile"
     );
@@ -524,11 +525,9 @@ fn cmd_bench(args: &[String]) -> ExitCode {
 
 /// `zombieland bench --paper`: one full-paper-scale pass — the Fig. 10
 /// trace family at the paper's fleet (12,583 servers × 29 days by
-/// default, seeded), AlwaysOn baseline plus ZombieStack on the
-/// rack-sharded event loop. Racks follow the paper's ~40-host geometry
-/// (`servers / 40`, rounded up); shards resolve through the scenario
-/// layer (`--shards` / `ZL_SHARDS` / file, default racks-proportional).
-/// The run itself is the subject here, so reports are kept: the JSON's
+/// default, seeded), AlwaysOn baseline plus ZombieStack. Racks follow
+/// the paper's ~40-host geometry (`servers / 40`, rounded up). The run
+/// itself is the subject here, so reports are kept: the JSON's
 /// `paper` grid records `events_per_sec`, `peak_event_queue_len` (the
 /// streaming-memory guard) and the energy outcome per policy.
 fn bench_paper(
@@ -540,8 +539,7 @@ fn bench_paper(
     host: usize,
 ) -> ExitCode {
     let racks = servers.div_ceil(40).max(1);
-    let shards = zombieland_core::scenario::current().shards_for(racks);
-    println!("bench --paper: {servers} servers x {days} day(s), {racks} racks, {shards} shard(s), jobs {jobs}");
+    println!("bench --paper: {servers} servers x {days} day(s), {racks} racks, jobs {jobs}");
     let t0 = std::time::Instant::now();
     let trace = experiments::fig10_trace(servers, days, 11);
     let trace_gen_ns = t0.elapsed().as_nanos() as u64;
@@ -558,11 +556,10 @@ fn bench_paper(
     for spec in specs {
         let cfg = SimConfig {
             racks,
-            shards,
             ..SimConfig::with_spec(spec, MachineProfile::hp())
         };
         let start = std::time::Instant::now();
-        let report = zombieland_simcore::with_thread_budget(jobs, || simulate(&trace, &cfg));
+        let report = simulate(&trace, &cfg);
         let wall_ns = start.elapsed().as_nanos().max(1) as u64;
         let eps = report.events as f64 * 1e9 / wall_ns as f64;
         let saving = baseline.as_ref().map(|b| report.savings_pct(b));
@@ -608,7 +605,6 @@ fn bench_paper(
         ("days".into(), Value::UInt(days)),
         ("seed".into(), Value::UInt(11)),
         ("racks".into(), Value::UInt(racks as u64)),
-        ("shards".into(), Value::UInt(shards as u64)),
         ("trace_gen_ns".into(), Value::UInt(trace_gen_ns)),
         ("runs".into(), Value::Array(runs)),
     ]);
@@ -993,11 +989,8 @@ struct GlobalOpts {
     metrics_out: Option<String>,
     /// `--scenario FILE`, loaded and validated but not yet installed.
     scenario: Option<zombieland_core::scenario::Scenario>,
-    /// `--shards N`: event-loop shard count, overriding `ZL_SHARDS` and
-    /// any scenario file (CLI > env > file, like the other knobs).
-    shards: Option<u32>,
     /// `--backend KEY`: remote-memory backend, overriding `ZL_BACKEND`
-    /// and any scenario file (same precedence as `--shards`).
+    /// and any scenario file (CLI > env > file, like the other knobs).
     backend: Option<String>,
     /// `--list-policies`: print the registry and exit.
     list_policies: bool,
@@ -1017,7 +1010,6 @@ fn split_global_flags(args: Vec<String>) -> Result<(Vec<String>, GlobalOpts), St
     let mut trace_out = None;
     let mut metrics_out = None;
     let mut scenario = None;
-    let mut shards = None;
     let mut backend = None;
     let mut list_policies = false;
     let mut list_backends = false;
@@ -1025,13 +1017,6 @@ fn split_global_flags(args: Vec<String>) -> Result<(Vec<String>, GlobalOpts), St
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--shards" => {
-                let v = it.next().ok_or("flag \"--shards\" needs a value")?;
-                shards = Some(
-                    v.parse::<u32>()
-                        .map_err(|_| format!("--shards needs a positive integer, got {v:?}"))?,
-                );
-            }
             "--backend" => backend = Some(it.next().ok_or("flag \"--backend\" needs a value")?),
             "--obs-level" => {
                 let v = it.next().ok_or("flag \"--obs-level\" needs a value")?;
@@ -1068,7 +1053,6 @@ fn split_global_flags(args: Vec<String>) -> Result<(Vec<String>, GlobalOpts), St
             trace_out,
             metrics_out,
             scenario,
-            shards,
             backend,
             list_policies,
             list_backends,
@@ -1198,21 +1182,16 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    // `--shards` / `--backend` override whatever the scenario resolved (a
+    // `--backend` overrides whatever the scenario resolved (a
     // `--scenario` file or, failing that, the env-layered defaults — so
-    // the flags beat `ZL_SHARDS` / `ZL_BACKEND` too). Installing the
-    // patched scenario makes each knob reach every
-    // `SimConfig::with_spec` without threading a parameter.
+    // the flag beats `ZL_BACKEND` too). Installing the patched scenario
+    // makes the knob reach every `SimConfig::with_spec` without
+    // threading a parameter.
     let mut scenario = opts.scenario.clone();
-    if opts.shards.is_some() || opts.backend.is_some() {
+    if let Some(b) = &opts.backend {
         let mut s =
             scenario.unwrap_or_else(|| zombieland_core::scenario::Scenario::default().apply_env());
-        if let Some(n) = opts.shards {
-            s.shards = Some(n);
-        }
-        if let Some(b) = &opts.backend {
-            s.backend = b.clone();
-        }
+        s.backend = b.clone();
         if let Err(e) = s.ensure_valid() {
             eprintln!("error: {e}");
             return usage();

@@ -30,7 +30,7 @@
 //! time and the operation's shape (count, payload bytes). No backend may
 //! sample wall clocks, RNGs or global state: the simulator's bit-for-bit
 //! determinism contract (same trace + config ⇒ identical report at any
-//! shards × jobs) extends through this trait.
+//! job count) extends through this trait.
 
 use core::fmt;
 

@@ -42,9 +42,6 @@ pub struct Scenario {
     pub days: u64,
     /// Rack count — the remote pool is rack-local (`ZL_RACKS`).
     pub racks: u32,
-    /// Event-loop shard count for the simulator (`ZL_SHARDS`); `None` =
-    /// racks-proportional (see [`Scenario::shards_for`]).
-    pub shards: Option<u32>,
     /// Replicate runs per experiment point (`ZL_RUNS`).
     pub runs: u32,
     /// Worker-thread count (`ZL_JOBS`); `None` = probe the machine.
@@ -72,7 +69,6 @@ impl Default for Scenario {
             servers: 600,
             days: 2,
             racks: 1,
-            shards: None,
             runs: 1,
             jobs: None,
             validate: None,
@@ -119,7 +115,6 @@ impl Scenario {
                 "servers" => s.servers = num(ln, key, value)?,
                 "days" => s.days = num(ln, key, value)?,
                 "racks" => s.racks = num(ln, key, value)?,
-                "shards" => s.shards = Some(num(ln, key, value)?),
                 "runs" => s.runs = num(ln, key, value)?,
                 "jobs" => s.jobs = Some(num(ln, key, value)?),
                 "validate" => {
@@ -172,9 +167,6 @@ impl Scenario {
         if let Some(v) = env_parse::<u32>("ZL_RACKS").filter(|&n| n >= 1) {
             self.racks = v;
         }
-        if let Some(v) = env_parse::<u32>("ZL_SHARDS").filter(|&n| n >= 1) {
-            self.shards = Some(v);
-        }
         if let Some(v) = env_parse::<u32>("ZL_RUNS").filter(|&n| n >= 1) {
             self.runs = v;
         }
@@ -216,15 +208,6 @@ impl Scenario {
         }
         if self.racks == 0 {
             return Err("racks must be >= 1 (the remote pool is rack-local)".into());
-        }
-        if self.shards == Some(0) {
-            return Err("shards must be >= 1 (1 = the serial event loop)".into());
-        }
-        if self.shards.is_some_and(|s| s > MAX_SHARDS) {
-            return Err(format!(
-                "shards must be <= {MAX_SHARDS} (each shard costs a scan slot \
-                 per decision round; thousands would be all overhead)"
-            ));
         }
         if self.runs == 0 {
             return Err("runs must be >= 1".into());
@@ -281,23 +264,13 @@ impl Scenario {
         self.jobs.unwrap_or_else(zombieland_simcore::available_jobs)
     }
 
-    /// The simulator shard count this scenario resolves to for a fleet
-    /// of `racks` racks: the explicit `shards` knob clamped to the rack
-    /// count (a shard owns whole racks), or a racks-proportional default
-    /// — one shard per ~40 racks, capped at 16 — so small fleets stay on
-    /// the serial fast path and the full-scale 315-rack setup lands at 8
-    /// without any flag.
-    pub fn shards_for(&self, racks: u32) -> u32 {
-        let racks = racks.max(1);
-        match self.shards {
-            Some(s) => s.clamp(1, racks),
-            None => racks.div_ceil(40).clamp(1, 16),
-        }
+    /// Always 1: the simulator has one serial event loop. Kept only
+    /// because `perfbench/src/dc.rs` still calls it to fill the inert
+    /// `SimConfig::shards`; a later benchmark-only change removes both.
+    pub fn shards_for(&self, _racks: u32) -> u32 {
+        1
     }
 }
-
-/// Upper bound on an explicit `shards` value ([`Scenario::ensure_valid`]).
-pub const MAX_SHARDS: u32 = 4096;
 
 /// Model years the trace crate's generations table covers. This crate
 /// cannot see `zombieland-trace`, so the range is restated here; a
@@ -341,7 +314,6 @@ mod tests {
         assert_eq!(s.servers, 600);
         assert_eq!(s.days, 2);
         assert_eq!(s.racks, 1);
-        assert_eq!(s.shards, None);
         assert_eq!(s.runs, 1);
         assert_eq!(s.jobs, None);
         assert_eq!(s.validate, None);
@@ -360,7 +332,6 @@ mod tests {
              servers= 120\n\
              days =1\n\
              racks = 4\n\
-             shards = 2\n\
              runs = 2\n\
              jobs = 3\n\
              validate = true\n\
@@ -373,7 +344,6 @@ mod tests {
         assert_eq!(s.servers, 120);
         assert_eq!(s.days, 1);
         assert_eq!(s.racks, 4);
-        assert_eq!(s.shards, Some(2));
         assert_eq!(s.runs, 2);
         assert_eq!(s.jobs, Some(3));
         assert_eq!(s.validate, Some(true));
@@ -402,6 +372,11 @@ mod tests {
         assert!(Scenario::parse("validate = maybe")
             .unwrap_err()
             .contains("true/false"));
+        // The simulator has one serial event loop; the old shard count
+        // is no longer a key.
+        assert!(Scenario::parse("shards = 8")
+            .unwrap_err()
+            .contains("unknown key \"shards\""));
     }
 
     #[test]
@@ -417,8 +392,6 @@ mod tests {
             "servers = 0",
             "days = 0",
             "racks = 0",
-            "shards = 0",
-            "shards = 99999",
             "runs = 0",
             "jobs = 0",
             "cxl_cap = 0",
@@ -459,7 +432,6 @@ mod tests {
             "ZL_DC_SERVERS",
             "ZL_DC_DAYS",
             "ZL_RACKS",
-            "ZL_SHARDS",
             "ZL_RUNS",
             "ZL_JOBS",
             "ZL_VALIDATE",
@@ -473,7 +445,6 @@ mod tests {
         std::env::set_var("ZL_DC_SERVERS", "90");
         std::env::set_var("ZL_DC_DAYS", "3");
         std::env::set_var("ZL_RACKS", "2");
-        std::env::set_var("ZL_SHARDS", "2");
         std::env::set_var("ZL_RUNS", "4");
         std::env::set_var("ZL_JOBS", "5");
         std::env::set_var("ZL_VALIDATE", "1");
@@ -487,7 +458,6 @@ mod tests {
         assert_eq!(s.servers, 90);
         assert_eq!(s.days, 3);
         assert_eq!(s.racks, 2);
-        assert_eq!(s.shards, Some(2));
         assert_eq!(s.runs, 4);
         assert_eq!(s.jobs, Some(5));
         assert_eq!(s.validate, Some(true));
@@ -501,7 +471,6 @@ mod tests {
         std::env::set_var("ZL_DC_SERVERS", "0");
         std::env::set_var("ZL_DC_DAYS", "-1");
         std::env::set_var("ZL_RACKS", "");
-        std::env::set_var("ZL_SHARDS", "0");
         std::env::set_var("ZL_RUNS", "not-a-number");
         std::env::set_var("ZL_JOBS", "0");
         std::env::set_var("ZL_VALIDATE", "yes");
@@ -515,7 +484,6 @@ mod tests {
         assert_eq!(s.servers, 10);
         assert_eq!(s.days, Scenario::default().days);
         assert_eq!(s.racks, 1);
-        assert_eq!(s.shards, None);
         assert_eq!(s.runs, 1);
         assert_eq!(s.jobs, None);
         assert_eq!(s.validate, None);
@@ -533,26 +501,6 @@ mod tests {
                 None => std::env::remove_var(k),
             }
         }
-    }
-
-    #[test]
-    fn shards_resolve_racks_proportionally() {
-        let s = Scenario::default();
-        // Unset: one shard per ~40 racks, capped at 16, never above the
-        // rack count.
-        assert_eq!(s.shards_for(1), 1);
-        assert_eq!(s.shards_for(40), 1);
-        assert_eq!(s.shards_for(41), 2);
-        assert_eq!(s.shards_for(315), 8);
-        assert_eq!(s.shards_for(10_000), 16);
-        assert_eq!(s.shards_for(0), 1);
-        // Explicit values clamp to the rack count.
-        let s = Scenario {
-            shards: Some(8),
-            ..Scenario::default()
-        };
-        assert_eq!(s.shards_for(3), 3);
-        assert_eq!(s.shards_for(315), 8);
     }
 
     #[test]

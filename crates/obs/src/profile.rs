@@ -51,7 +51,10 @@ pub enum Phase {
     ReplayRecv,
     /// Rendering tables and writing artifacts after the run.
     Render,
-    /// One parallel scan round across the simulator's rack shards.
+    /// Never entered: the simulator's scans are serial and have no
+    /// phase of their own. Kept only because `perfbench/src/dc.rs`
+    /// still maps it to `sim.shard_round_s`, which therefore reads 0;
+    /// a later benchmark-only change removes both.
     ShardRound,
 }
 

@@ -21,6 +21,6 @@ pub mod units;
 pub use event::EventQueue;
 pub use fasthash::{FastMap, FastSet};
 pub use rng::{derive_seed, DetRng, Zipf};
-pub use runner::{available_jobs, run_batch, run_indexed, thread_budget, with_thread_budget};
+pub use runner::{available_jobs, run_batch, run_indexed};
 pub use time::{SimDuration, SimTime};
 pub use units::{Bytes, Cycles, Joules, Pages, Watts, PAGE_SIZE};

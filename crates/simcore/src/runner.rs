@@ -65,33 +65,6 @@ pub fn available_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// The worker budget visible to the calling thread: the inherited share
-/// when called from inside a `run_indexed` worker (or under
-/// [`with_thread_budget`]), else 1.
-///
-/// Long-lived helpers that spawn their *own* threads — e.g. a sharded
-/// simulation's per-shard scan crew — use this to size themselves so
-/// the whole process stays within the top-level `--jobs` grant: a grid
-/// cell running on a share of 1 sees `thread_budget() == 1` and stays
-/// serial, while a lone full-scale run launched with `--jobs 8` (via
-/// [`with_thread_budget`]) may keep up to 8 threads live.
-pub fn thread_budget() -> usize {
-    BUDGET.with(|b| b.get()).unwrap_or(1)
-}
-
-/// Runs `f` with this thread's worker budget set to `budget`, restoring
-/// the previous budget afterwards (also on unwind).
-///
-/// This is the entry point for granting a *single* run a multi-thread
-/// budget without fanning out over run indices: `run_indexed` splits a
-/// budget across grid cells, `with_thread_budget` hands one to a lone
-/// call tree. Nested `run_indexed` calls and [`thread_budget`] readers
-/// both observe the grant.
-pub fn with_thread_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
-    let _restore = BudgetGuard(BUDGET.with(|b| b.replace(Some(budget.max(1)))));
-    f()
-}
-
 /// One result slot per run index, written without locks.
 ///
 /// Safety argument (why the `Sync` impl below is sound): indices come
@@ -339,17 +312,20 @@ mod tests {
 
     #[test]
     fn thread_budget_reflects_grants_and_shares() {
-        // Outside any scope the budget defaults to 1 (serial).
-        assert_eq!(thread_budget(), 1);
-        // A direct grant is visible and restored afterwards.
-        let seen = with_thread_budget(6, thread_budget);
-        assert_eq!(seen, 6);
-        assert_eq!(thread_budget(), 1);
+        let budget = || BUDGET.with(|b| b.get());
+        // Outside any scope there is no budget: the next fan-out is
+        // top-level and its own `jobs` is the grant.
+        assert_eq!(budget(), None);
         // Inside a fan-out each worker sees its split share.
-        let shares = run_indexed(4, 4, |_| thread_budget());
-        assert!(shares.iter().all(|&s| s == 1), "4 workers split 4 ways");
-        // A zero grant clamps to 1 rather than wedging nested calls.
-        assert_eq!(with_thread_budget(0, thread_budget), 1);
+        let shares = run_indexed(4, 4, |_| budget());
+        assert!(
+            shares.iter().all(|&s| s == Some(1)),
+            "4 workers split 4 ways"
+        );
+        let shares = run_indexed(4, 2, |_| budget());
+        assert!(shares.iter().all(|&s| s == Some(2)), "2 workers split 4");
+        // The share is restored when the fan-out ends.
+        assert_eq!(budget(), None);
     }
 
     #[test]
@@ -398,21 +374,24 @@ mod tests {
     fn serial_top_level_does_not_pin_nested_calls() {
         // `jobs = 1` at the top level sets no budget, so a nested call
         // is free to use its own `jobs` — and still stays deterministic.
-        let threads = Mutex::new(HashSet::new());
+        // The two nested calls run one after the other, each with its
+        // own fresh threads, so each is bounded on its own.
         let out = run_indexed(1, 2, |i| {
-            run_indexed(3, 9, |j| {
+            let threads = Mutex::new(HashSet::new());
+            let out = run_indexed(3, 9, |j| {
                 record(&threads);
                 fake_sim(derive_seed(i as u64, j as u64))
-            })
+            });
+            let used = threads.lock().expect("no poisoned thread set").len();
+            assert!(
+                used <= 3,
+                "{used} distinct workers exceed the inner jobs of 3"
+            );
+            out
         });
         let serial = run_indexed(1, 2, |i| {
             run_indexed(1, 9, |j| fake_sim(derive_seed(i as u64, j as u64)))
         });
         assert_eq!(out, serial);
-        let used = threads.lock().expect("no poisoned thread set").len();
-        assert!(
-            used <= 3,
-            "{used} distinct workers exceed the inner jobs of 3"
-        );
     }
 }

@@ -1,6 +1,5 @@
 //! Datacenter state: hosts, VMs, the rack-local remote pool, and the
-//! sharded index sets that keep the hot paths from scanning the full
-//! fleet.
+//! index sets that keep the hot paths from scanning the full fleet.
 //!
 //! Everything here is *mechanism* — admission checks, the two-phase
 //! evacuation protocol, pool carving, invariant validation. Every
@@ -8,19 +7,16 @@
 //! carried by [`crate::SimConfig::policy`], so this module never
 //! matches on a policy name.
 //!
-//! # Sharding and determinism (DESIGN §12)
+//! # Decision scans
 //!
-//! Host state lives in a struct-of-arrays [`Hosts`] table, and the
-//! index sets are partitioned into per-rack-group [`Shard`]s (rack `r`
-//! → shard `r % shards`). The event loop itself stays serial — every
-//! float mutation happens on the coordinator in the exact order the
-//! unsharded loop used, which is what keeps reports byte-identical at
-//! any shard count. What decomposes is the read-only *decision scan*
-//! ([`ScanReq`]): each shard answers with its best candidate under a
-//! total-order merge key, and the coordinator takes the tuple minimum —
-//! constructed to equal the serial full-scan answer exactly. Above
-//! [`crate::crew::CREW_MIN_FLEET`] hosts (and given a thread budget),
-//! the per-shard scans run on a worker [`Crew`] between rounds.
+//! Host state lives in a struct-of-arrays [`Hosts`] table beside three
+//! index sets: `active`, the blocked stacking order `stack` and
+//! `nonactive`. Every decision is one serial scan over one of them.
+//! Admission and migration ([`Fit`]) are first-fit walks along the
+//! stacking order; the four other scans ([`Pick`]) walk an index set in
+//! ascending host order. Under [`Dc::validate_on`] each answer is
+//! checked against a walk that uses neither the indexes nor their
+//! shortcuts.
 
 use core::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -30,8 +26,7 @@ use zombieland_energy::PowerModel;
 use zombieland_simcore::{derive_seed, Joules, SimTime, Watts};
 use zombieland_trace::google::ClusterTrace;
 
-use crate::crew::{merge_hit, Crew, ScanHit, ScanReq, CREW_MIN_FLEET};
-use crate::policy::{HostLoad, WakePreference};
+use crate::policy::{HostLoad, MigrantVm, WakePreference};
 use crate::report::SimReport;
 use crate::stack::{booked_key, total_key, StackOrder};
 use crate::SimConfig;
@@ -183,33 +178,40 @@ fn seek_key(ceiling: Option<f64>, cpu: f64) -> u64 {
     }
 }
 
-/// Merge key for minimum-value scans (wake picks, the overcommit
-/// fallback). The serial scans compared with plain `<`, under which
-/// `-0.0` and `+0.0` tie and the first (lowest-index) host wins;
-/// canonicalizing the zero sign makes the `(key, index)` tuple minimum
-/// reproduce that tie-break exactly. (These fields never actually go
-/// negative-zero — subtraction of finite equals yields `+0.0` and every
-/// clamp is `.max(0.0)` — so this is belt-and-braces.)
-fn merge_key(v: f64) -> u64 {
-    total_key(if v == 0.0 { 0.0 } else { v })
+/// A first-fit walk along the stacking order ([`Dc::first_fit`]): the
+/// two decisions the policy judges host by host.
+#[derive(Clone, Copy, Debug)]
+enum Fit {
+    /// An arriving VM to admit.
+    Admit { cpu: f64, cpu_used: f64, mem: f64 },
+    /// A VM to move off host `skip`, the evacuation source.
+    Migrate { vm: MigrantVm, skip: usize },
 }
 
-/// One shard's index sets: the hosts of racks `r ≡ shard (mod shards)`,
-/// maintained by [`Dc::update_host`]. Iteration order within a shard is
-/// ascending (host index, or booked key), so a per-shard scan merged by
-/// key tuple equals the serial full scan.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Shard {
-    /// Active hosts, ascending index.
-    active: BTreeSet<usize>,
-    /// Active hosts keyed by `(booked_key(cpu_booked), index)` — the
-    /// stacking preference order, in summarized blocks. The key is built
-    /// from the host's exact stored bits at index time; `update_host`
-    /// repositions entries whenever the value changes and refreshes a
-    /// block's summary whenever a host's usage or memory does.
-    stack: StackOrder,
-    /// Sleeping and zombie hosts (the wake candidates), ascending index.
-    nonactive: BTreeSet<usize>,
+/// A pick of one host from an index set ([`Dc::pick`]).
+#[derive(Clone, Copy, Debug)]
+enum Pick {
+    /// Least-lending zombie (the `IdleZombieFirst` wake preference).
+    WakeZombie,
+    /// Lowest-index non-active host (the wake fallback).
+    Sleeping,
+    /// Least-used active host (the overcommit fallback).
+    LeastUsed,
+    /// Lowest-index zombie lending nothing (§4.4 demotion candidate).
+    IdleZombie,
+}
+
+/// The first of `hosts` whose `value` is least under strict `<`, so
+/// among equal values the earliest host wins.
+fn first_min(hosts: impl Iterator<Item = usize>, value: impl Fn(usize) -> f64) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    for i in hosts {
+        let v = value(i);
+        if best.is_none_or(|(_, b)| v < b) {
+            best = Some((i, v));
+        }
+    }
+    best.map(|(i, _)| i)
 }
 
 pub(crate) struct Dc {
@@ -230,12 +232,17 @@ pub(crate) struct Dc {
     pub(crate) last: SimTime,
     pub(crate) report: SimReport,
     pub(crate) oasis: OasisConfig,
-    /// Per-shard index sets (see [`Shard`]); `shards.len()` is the
-    /// effective shard count, `cfg.shards` clamped to the rack count.
-    pub(crate) shards: Vec<Shard>,
+    /// Active hosts, ascending index.
+    active: BTreeSet<usize>,
+    /// Active hosts keyed by `(booked_key(cpu_booked), index)` — the
+    /// stacking preference order, in summarized blocks. The key is built
+    /// from the host's exact stored bits at index time; `update_host`
+    /// repositions entries whenever the value changes and refreshes a
+    /// block's summary whenever a host's usage or memory does.
+    stack: StackOrder,
+    /// Sleeping and zombie hosts (the wake candidates), ascending index.
+    nonactive: BTreeSet<usize>,
     /// Zombie hosts per rack (the rack-local remote pool's lenders).
-    /// Pool carving is serial coordinator work, so this index stays
-    /// global per rack rather than per shard.
     pub(crate) zombies_by_rack: Vec<BTreeSet<usize>>,
     /// Tasks holding remote-pool memory, per rack of their host.
     /// Invariant: task ∈ set[r] iff its VM exists, holds `remote >
@@ -249,7 +256,7 @@ pub(crate) struct Dc {
     /// Sum of [`Dc::cxl_allocated`], maintained incrementally for the
     /// energy integration and the STATS overlay.
     pub(crate) cxl_allocated_total: f64,
-    /// Active hosts keyed by `(merge_key(cpu_used), index)` — the
+    /// Active hosts keyed by `(total_key(cpu_used), index)` — the
     /// consolidation candidate order. Ascending walk with early exit at
     /// the underload threshold replaces the old full active-set gather +
     /// sort per round. Membership follows state changes eagerly
@@ -281,9 +288,6 @@ pub(crate) struct Dc {
     /// Persistent buffer for the remote-holder walk in
     /// [`Dc::shed_vm_remote`].
     shed_buf: Vec<usize>,
-    /// Worker threads for per-shard scans; `None` below the crew gate
-    /// (small fleet, single shard, or no thread budget).
-    crew: Option<Crew>,
     /// Whether [`Dc::validate`] runs after each consolidation round:
     /// debug builds by default, or the scenario's `validate` switch
     /// (`ZL_VALIDATE=1`) in release.
@@ -305,12 +309,9 @@ impl Dc {
     /// Builds the all-active initial fleet for `trace` under `cfg`.
     ///
     /// `cfg` must have passed [`SimConfig::validate`]; in particular
-    /// `racks >= 1` and `shards >= 1`, so the rack/shard assignment
-    /// below never divides by zero.
+    /// `racks >= 1`, so the rack assignment below never divides by zero.
     pub(crate) fn new(trace: &ClusterTrace, cfg: &SimConfig) -> Dc {
         let n = trace.config().servers as usize;
-        let nshards = (cfg.shards.min(cfg.racks).max(1)) as usize;
-        let mut shards = vec![Shard::default(); nshards];
         let mut rack = Vec::with_capacity(n);
         let mut by_used = BTreeSet::new();
         let mut cap = Vec::with_capacity(n);
@@ -325,7 +326,7 @@ impl Dc {
                 power.push(cfg.power);
             } else {
                 // Seeded per-rack assignment: a pure function of (rack,
-                // host), so the mix is identical at any shards × jobs.
+                // host), so the mix is identical at any job count.
                 let pick = derive_seed(GENERATION_SEED ^ r as u64, i as u64) as usize
                     % cfg.generations.len();
                 let year = cfg.generations[pick];
@@ -338,17 +339,8 @@ impl Dc {
                         .expect("the energy crate models every table generation"),
                 );
             }
-            shards[r as usize % nshards].active.insert(i);
-            by_used.insert((merge_key(0.0), i));
+            by_used.insert((total_key(0.0), i));
         }
-        // The crew only pays off when a scan has real work per shard;
-        // below the gate (or without a thread budget) scans run inline.
-        // Either way the answers are identical — see `crate::crew`.
-        let crew = if nshards > 1 && n >= CREW_MIN_FLEET {
-            Crew::spawn(nshards, zombieland_simcore::thread_budget())
-        } else {
-            None
-        };
         let mut dc = Dc {
             hosts: Hosts {
                 state: vec![HState::Active; n],
@@ -383,13 +375,15 @@ impl Dc {
                 timeline: Vec::new(),
             },
             oasis: OasisConfig::default(),
-            shards,
+            active: (0..n).collect(),
+            stack: StackOrder::default(),
+            nonactive: BTreeSet::new(),
             zombies_by_rack: vec![BTreeSet::new(); cfg.racks as usize],
             remote_vms_by_rack: vec![BTreeSet::new(); cfg.racks as usize],
             cxl_allocated: vec![0.0; cfg.racks as usize],
             cxl_allocated_total: 0.0,
             by_used,
-            used_key: vec![merge_key(0.0); n],
+            used_key: vec![total_key(0.0); n],
             used_dirty: Vec::new(),
             used_dirty_flag: vec![false; n],
             order_buf: Vec::new(),
@@ -397,7 +391,6 @@ impl Dc {
             pool_buf: Vec::new(),
             pool_max: 0.0,
             shed_buf: Vec::new(),
-            crew,
             validate_on: validate_enabled(),
             cfg: cfg.clone(),
             state_counts: [n as u64, 0, 0],
@@ -405,11 +398,8 @@ impl Dc {
         // The stacking order summarizes live loads, so it fills once the
         // host table exists.
         for i in 0..n {
-            let s = dc.shard_of(i);
             let hosts = &dc.hosts;
-            dc.shards[s]
-                .stack
-                .insert((booked_key(0.0), i), |j| hosts.load(j));
+            dc.stack.insert((booked_key(0.0), i), |j| hosts.load(j));
         }
         // Initial fleet power: everything on and idle. An empty fleet
         // has no host 0 to sample (and draws nothing). The uniform-fleet
@@ -436,19 +426,8 @@ impl Dc {
         self.cfg.backend.backend.pools_host_memory()
     }
 
-    /// The effective shard count.
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard owning host `h` (rack-based, so a rack's hosts — and
-    /// its pool lenders — always share a shard).
-    fn shard_of(&self, h: usize) -> usize {
-        self.hosts.rack[h] as usize % self.shards.len()
-    }
-
     /// Applies a mutation to host `h`, keeping the fleet power total,
-    /// the state counts and the shard index sets consistent.
+    /// the state counts and the index sets consistent.
     pub(crate) fn update_host(&mut self, h: usize, f: impl FnOnce(HostMut)) {
         let before = self.host_power(h);
         let state_before = self.hosts.state[h];
@@ -465,9 +444,8 @@ impl Dc {
             self.index_host(h, state_before, state_after, booked_before, booked_after);
         } else if state_after == HState::Active {
             let used_changed = self.hosts.cpu_used[h].total_cmp(&used_before) != Ordering::Equal;
-            let s = self.shard_of(h);
             let hosts = &self.hosts;
-            let stack = &mut self.shards[s].stack;
+            let stack = &mut self.stack;
             if booked_after.total_cmp(&booked_before) != Ordering::Equal {
                 // total_cmp (not `!=`) so a -0.0/+0.0 flip still repositions
                 // and the stored key always matches the host's exact bits.
@@ -488,16 +466,14 @@ impl Dc {
             Watts::new((self.total_power.get() - before.get() + after.get()).max(0.0));
     }
 
-    /// Moves `h` between its shard's index sets on a state change.
+    /// Moves `h` between the index sets on a state change.
     fn index_host(&mut self, h: usize, from: HState, to: HState, booked_old: f64, booked_new: f64) {
         let rack = self.hosts.rack[h] as usize;
-        let s = self.shard_of(h);
         let hosts = &self.hosts;
-        let shard = &mut self.shards[s];
         match from {
             HState::Active => {
-                shard.active.remove(&h);
-                let removed = shard
+                self.active.remove(&h);
+                let removed = self
                     .stack
                     .remove((booked_key(booked_old), h), |i| hosts.load(i));
                 debug_assert!(removed, "active host indexed under its old booked key");
@@ -507,32 +483,30 @@ impl Dc {
                 debug_assert!(removed, "active host indexed under its stored used key");
             }
             HState::Zombie => {
-                shard.nonactive.remove(&h);
+                self.nonactive.remove(&h);
                 self.zombies_by_rack[rack].remove(&h);
             }
             HState::Sleeping => {
-                shard.nonactive.remove(&h);
+                self.nonactive.remove(&h);
             }
         }
-        let shard = &mut self.shards[s];
         match to {
             HState::Active => {
-                shard.active.insert(h);
-                shard
-                    .stack
+                self.active.insert(h);
+                self.stack
                     .insert((booked_key(booked_new), h), |i| hosts.load(i));
                 // Re-sync the used key eagerly on (re)activation so the
                 // entry is live even if no further load change follows.
-                let key = merge_key(self.hosts.cpu_used[h]);
+                let key = total_key(self.hosts.cpu_used[h]);
                 self.by_used.insert((key, h));
                 self.used_key[h] = key;
             }
             HState::Zombie => {
-                shard.nonactive.insert(h);
+                self.nonactive.insert(h);
                 self.zombies_by_rack[rack].insert(h);
             }
             HState::Sleeping => {
-                shard.nonactive.insert(h);
+                self.nonactive.insert(h);
             }
         }
     }
@@ -662,171 +636,121 @@ impl Dc {
             .admit(&self.hosts.load(host), cpu, cpu_used, mem, pool)
     }
 
-    /// Whether host `i` passes an `Admit`/`Migrate` scan: the policy's
-    /// own verdict on the host, against its rack's snapshot pool.
-    fn scan_fits(&self, req: &ScanReq, i: usize) -> bool {
+    /// Whether host `i` passes `fit`: the policy's own verdict on the
+    /// host, against its rack's snapshot pool.
+    fn fit_passes(&self, fit: &Fit, i: usize) -> bool {
         let pool = self.pool_buf[self.hosts.rack[i] as usize];
-        match *req {
-            ScanReq::Admit {
-                cpu, cpu_used, mem, ..
-            } => self.fits(i, cpu, cpu_used, mem, pool).is_some(),
-            ScanReq::Migrate { ref vm, skip, .. } => {
-                i != skip && self.consolidation_fits(i, vm, pool)
-            }
-            _ => unreachable!("{req:?} is not a stacking-order walk"),
+        match *fit {
+            Fit::Admit { cpu, cpu_used, mem } => self.fits(i, cpu, cpu_used, mem, pool).is_some(),
+            Fit::Migrate { ref vm, skip } => i != skip && self.consolidation_fits(i, vm, pool),
         }
     }
 
     /// Whether a block whose best case is `corner` may hold a host that
-    /// passes `req`: the same policy rule, judged on the corner with the
+    /// passes `fit`: the same policy rule, judged on the corner with the
     /// largest snapshot pool. Policies are monotone, so `false` rules
     /// out every host in the block.
-    fn corner_passes(&self, req: &ScanReq, corner: &HostLoad) -> bool {
+    fn corner_passes(&self, fit: &Fit, corner: &HostLoad) -> bool {
         let policy = self.cfg.policy;
-        match *req {
-            ScanReq::Admit {
-                cpu, cpu_used, mem, ..
-            } => policy
+        match *fit {
+            Fit::Admit { cpu, cpu_used, mem } => policy
                 .placement
                 .admit(corner, cpu, cpu_used, mem, self.pool_max)
                 .is_some(),
-            ScanReq::Migrate { ref vm, .. } => policy.consolidation.accepts_migration(
+            Fit::Migrate { ref vm, .. } => policy.consolidation.accepts_migration(
                 corner,
                 vm,
                 self.pool_max,
                 self.cfg.cpu_fill_cap,
             ),
-            _ => unreachable!("{req:?} is not a stacking-order walk"),
         }
     }
 
-    /// Answers one decision scan over shard `s`. Read-only — this is
-    /// the function crew workers run concurrently — and the merge keys
-    /// are built so the tuple minimum across shards equals the serial
-    /// full-scan answer:
-    ///
-    /// - `Admit`/`Migrate` walk the stacking order from the request's
-    ///   seek key ([`seek_key`]: every host before it fails the
-    ///   policy's booked ceiling), skip each block whose best case the
-    ///   policy rejects, and stop at the shard's first fit; the key is
-    ///   the entry's stored booked key, so the cross-shard minimum is
-    ///   the globally first-fitting entry of the (conceptual) merged
-    ///   stacking order.
-    /// - `WakeZombie`/`LeastUsed` minimize a canonicalized float key
-    ///   ([`merge_key`]), reproducing the serial strict-`<` first-min.
-    /// - `Sleeping`/`IdleZombie` want the lowest host index; the key is
-    ///   a constant `0` so the tuple min is the index min.
-    pub(crate) fn scan_shard(&self, s: usize, req: &ScanReq) -> ScanHit {
-        let shard = &self.shards[s];
-        let best = match *req {
-            ScanReq::Admit { from, .. } | ScanReq::Migrate { from, .. } => {
-                return shard.stack.first_fit(
-                    from,
-                    |corner| self.corner_passes(req, corner),
-                    |i| self.scan_fits(req, i),
-                )
-            }
-            ScanReq::WakeZombie => {
-                let mut best = None;
-                for &i in &shard.nonactive {
-                    if self.hosts.state[i] != HState::Zombie {
-                        continue;
-                    }
-                    let cand = (merge_key(self.hosts.remote_allocated[i]), i);
-                    if best.is_none_or(|b| cand < b) {
-                        best = Some(cand);
-                    }
-                }
-                best
-            }
-            ScanReq::Sleeping => shard.nonactive.first().map(|&i| (0, i)),
-            ScanReq::LeastUsed => {
-                let mut best = None;
-                for &i in &shard.active {
-                    let cand = (merge_key(self.hosts.cpu_used[i]), i);
-                    if best.is_none_or(|b| cand < b) {
-                        best = Some(cand);
-                    }
-                }
-                best
-            }
-            ScanReq::IdleZombie => shard
-                .nonactive
-                .iter()
-                .find(|&&i| {
-                    self.hosts.state[i] == HState::Zombie && self.hosts.remote_allocated[i] <= 1e-9
-                })
-                .map(|&i| (0, i)),
+    /// The first host of the stacking order that passes `fit`: the
+    /// fittable active host with the highest booked CPU, ties to the
+    /// lowest index, as the old full scan resolved them. One pool
+    /// snapshot serves the whole walk, which starts at the policy's
+    /// ceiling seek ([`seek_key`]: every host before it fails the
+    /// booked ceiling) and skips each block whose best case the policy
+    /// rejects. Under [`Dc::validate_on`] the pick must equal a walk
+    /// from the first entry that judges every host.
+    fn first_fit(&mut self, fit: Fit) -> Option<usize> {
+        self.snapshot_pools();
+        let policy = self.cfg.policy;
+        let (from, examined, skipped) = match fit {
+            Fit::Admit { cpu, .. } => (
+                seek_key(policy.placement.booked_ceiling(), cpu),
+                "sim.admit.hosts_examined",
+                "sim.admit.blocks_skipped",
+            ),
+            Fit::Migrate { ref vm, .. } => (
+                seek_key(
+                    policy.consolidation.booked_ceiling(self.cfg.cpu_fill_cap),
+                    vm.cpu_booked,
+                ),
+                "sim.migrate.hosts_examined",
+                "sim.migrate.blocks_skipped",
+            ),
         };
-        ScanHit {
-            best,
-            ..ScanHit::default()
-        }
-    }
-
-    /// Runs `req` over every shard on the calling thread.
-    fn scan_inline(&self, req: &ScanReq) -> ScanHit {
-        (0..self.shards.len()).fold(ScanHit::default(), |best, s| {
-            merge_hit(best, self.scan_shard(s, req))
-        })
-    }
-
-    /// The reference answer to an `Admit`/`Migrate` scan: every shard
-    /// walked from its first entry, judging every host (no seek, no
-    /// block skipping), merged by key.
-    fn first_fit_unsummarized(&self, req: &ScanReq) -> Option<(u64, usize)> {
-        self.shards
-            .iter()
-            .filter_map(|shard| shard.stack.iter().find(|&(_, i)| self.scan_fits(req, i)))
-            .min()
-    }
-
-    /// Runs `req` over every shard — on the crew when one is up, inline
-    /// otherwise — and returns the winning host. Under [`Dc::validate_on`]
-    /// every `Admit`/`Migrate` walk is re-run from the first entry
-    /// without seek or block skipping and must pick the same host, so
-    /// every debug run checks both against the full walk.
-    fn scan_merged(&self, req: ScanReq) -> Option<usize> {
-        let hit = match &self.crew {
-            Some(crew) => {
-                let _span =
-                    zombieland_obs::profile::span(zombieland_obs::profile::Phase::ShardRound);
-                crew.round(self, req)
-            }
-            None => self.scan_inline(&req),
-        };
-        let (examined, skipped) = match req {
-            ScanReq::Admit { .. } => ("sim.admit.hosts_examined", "sim.admit.blocks_skipped"),
-            ScanReq::Migrate { .. } => ("sim.migrate.hosts_examined", "sim.migrate.blocks_skipped"),
-            _ => return hit.best.map(|(_, i)| i),
-        };
+        let walk = self.stack.first_fit(
+            from,
+            |corner| self.corner_passes(&fit, corner),
+            |i| self.fit_passes(&fit, i),
+        );
         if self.validate_on {
+            let full = self
+                .stack
+                .iter()
+                .map(|(_, i)| i)
+                .find(|&i| self.fit_passes(&fit, i));
             assert_eq!(
-                hit.best,
-                self.first_fit_unsummarized(&req),
-                "the seek or a block skip changed the answer to {req:?}"
+                walk.host, full,
+                "the seek or a block skip changed the answer to {fit:?}"
             );
         }
-        zombieland_obs::sink::hist_record(examined, hit.examined);
-        zombieland_obs::sink::hist_record(skipped, hit.skipped);
-        hit.best.map(|(_, i)| i)
+        zombieland_obs::sink::hist_record(examined, walk.examined);
+        zombieland_obs::sink::hist_record(skipped, walk.skipped);
+        walk.host
     }
 
-    /// Stacking choice: the fittable active host with the highest booked
-    /// CPU (ties to the lowest index, as the old ascending full scan
-    /// resolved them). Each shard's stacking-order walk *is* that
-    /// preference order restricted to the shard, so the key-merged first
-    /// fits are the answer — no ranking pass. One pool snapshot serves
-    /// the whole scan.
-    fn pick_host(&mut self, cpu: f64, cpu_used: f64, mem: f64) -> Option<usize> {
-        self.snapshot_pools();
-        let from = seek_key(self.cfg.policy.placement.booked_ceiling(), cpu);
-        self.scan_merged(ScanReq::Admit {
-            cpu,
-            cpu_used,
-            mem,
-            from,
-        })
+    /// The host `pick` chooses among `hosts`, walked in ascending index
+    /// order: the first least value under strict `<` for `WakeZombie`
+    /// and `LeastUsed`, the first match otherwise. It filters on host
+    /// state itself, so the same walk over every host is the naive
+    /// reference [`Dc::pick`] checks its index walk against.
+    fn pick_among(&self, pick: Pick, mut hosts: impl Iterator<Item = usize>) -> Option<usize> {
+        let h = &self.hosts;
+        match pick {
+            Pick::WakeZombie => first_min(hosts.filter(|&i| h.state[i] == HState::Zombie), |i| {
+                h.remote_allocated[i]
+            }),
+            Pick::Sleeping => hosts.find(|&i| h.state[i] != HState::Active),
+            Pick::LeastUsed => first_min(hosts.filter(|&i| h.state[i] == HState::Active), |i| {
+                h.cpu_used[i]
+            }),
+            Pick::IdleZombie => {
+                hosts.find(|&i| h.state[i] == HState::Zombie && h.remote_allocated[i] <= 1e-9)
+            }
+        }
+    }
+
+    /// Picks a host for `pick` from the index set that holds its
+    /// candidates. Under [`Dc::validate_on`] the pick must equal the
+    /// naive walk over the whole fleet.
+    fn pick(&self, pick: Pick) -> Option<usize> {
+        let set = match pick {
+            Pick::LeastUsed => &self.active,
+            Pick::WakeZombie | Pick::Sleeping | Pick::IdleZombie => &self.nonactive,
+        };
+        let host = self.pick_among(pick, set.iter().copied());
+        if self.validate_on {
+            assert_eq!(
+                host,
+                self.pick_among(pick, 0..self.hosts.len()),
+                "the index sets changed the answer to {pick:?}"
+            );
+        }
+        host
     }
 
     /// Wakes a host per policy preference. Returns its index.
@@ -836,9 +760,9 @@ impl Dc {
         let _span = zombieland_obs::profile::span(zombieland_obs::profile::Phase::WakeUps);
         let pick = match self.cfg.policy.placement.wake_preference() {
             WakePreference::IdleZombieFirst => self
-                .scan_merged(ScanReq::WakeZombie)
-                .or_else(|| self.scan_merged(ScanReq::Sleeping)),
-            WakePreference::FirstSleeping => self.scan_merged(ScanReq::Sleeping),
+                .pick(Pick::WakeZombie)
+                .or_else(|| self.pick(Pick::Sleeping)),
+            WakePreference::FirstSleeping => self.pick(Pick::Sleeping),
         }?;
         // A waking zombie reclaims its memory: re-place its allocations
         // on its rack's *other* zombies (so reactivate first — a zombie
@@ -916,7 +840,12 @@ impl Dc {
     pub(crate) fn arrive(&mut self, trace: &ClusterTrace, task: usize) {
         let t = &trace.tasks()[task];
         let (cpu, mem) = (t.cpu_booked, t.mem_booked);
-        let host = match self.pick_host(cpu, t.cpu_used, mem) {
+        let admit = Fit::Admit {
+            cpu,
+            cpu_used: t.cpu_used,
+            mem,
+        };
+        let host = match self.first_fit(admit) {
             Some(h) => h,
             None => {
                 // Wake hosts until the VM fits; as a last resort,
@@ -927,14 +856,14 @@ impl Dc {
                     if self.wake_one().is_none() {
                         break;
                     }
-                    if let Some(h) = self.pick_host(cpu, t.cpu_used, mem) {
+                    if let Some(h) = self.first_fit(admit) {
                         found = Some(h);
                         break;
                     }
                 }
                 match found {
                     Some(h) => h,
-                    None => match self.scan_merged(ScanReq::LeastUsed) {
+                    None => match self.pick(Pick::LeastUsed) {
                         Some(h) => {
                             self.report.overcommitted += 1;
                             zombieland_obs::sink::counter_add("sim.overcommitted", 1);
@@ -1008,7 +937,7 @@ impl Dc {
     }
 
     /// Invariant sweep: VM lists, booked sums, pool accounting and the
-    /// sharded index sets all agree. O(hosts × vms), so it runs only
+    /// index sets all agree. O(hosts × vms), so it runs only
     /// when [`validate_enabled`] says so (debug builds by default, the
     /// scenario `validate` switch opts release builds in).
     fn validate(&self) {
@@ -1033,16 +962,14 @@ impl Dc {
                     self.hosts.remote_allocated[i]
                 );
             }
-            // The shard index sets mirror host state exactly.
-            let shard = &self.shards[self.shard_of(i)];
+            // The index sets mirror host state exactly.
             assert_eq!(
-                shard.active.contains(&i),
+                self.active.contains(&i),
                 state == HState::Active,
                 "host {i}: active-set membership disagrees with {state:?}"
             );
             assert_eq!(
-                shard
-                    .stack
+                self.stack
                     .contains((booked_key(self.hosts.cpu_booked[i]), i)),
                 state == HState::Active,
                 "host {i}: booked-key membership disagrees with {state:?} \
@@ -1056,12 +983,12 @@ impl Dc {
             if state == HState::Active && !self.used_dirty_flag[i] {
                 assert_eq!(
                     self.used_key[i],
-                    merge_key(self.hosts.cpu_used[i]),
+                    total_key(self.hosts.cpu_used[i]),
                     "host {i}: clean used key drifted from the live load"
                 );
             }
             assert_eq!(
-                shard.nonactive.contains(&i),
+                self.nonactive.contains(&i),
                 state != HState::Active,
                 "host {i}: nonactive-set membership disagrees with {state:?}"
             );
@@ -1071,20 +998,17 @@ impl Dc {
                 "host {i}: rack {rack} zombie-set membership disagrees with {state:?}"
             );
         }
-        // Each stacking order holds exactly its shard's active hosts, in
+        // The stacking order holds exactly the active hosts, in
         // well-formed blocks whose summaries match their hosts.
-        for (s, shard) in self.shards.iter().enumerate() {
-            assert_eq!(
-                shard.stack.len(),
-                shard.active.len(),
-                "shard {s}: stacking order covers exactly the active hosts"
-            );
-            shard.stack.check(|i| self.hosts.load(i));
-        }
-        let active_total: usize = self.shards.iter().map(|s| s.active.len()).sum();
+        assert_eq!(
+            self.stack.len(),
+            self.active.len(),
+            "stacking order covers exactly the active hosts"
+        );
+        self.stack.check(|i| self.hosts.load(i));
         assert_eq!(
             self.by_used.len(),
-            active_total,
+            self.active.len(),
             "used-ordered set covers exactly the active hosts"
         );
         let indexed: usize = self.zombies_by_rack.iter().map(|s| s.len()).sum();
@@ -1180,7 +1104,7 @@ impl Dc {
                 // reactivation re-files it under the live key.
                 continue;
             }
-            let key = merge_key(self.hosts.cpu_used[h]);
+            let key = total_key(self.hosts.cpu_used[h]);
             if key != self.used_key[h] {
                 let removed = self.by_used.remove(&(self.used_key[h], h));
                 debug_assert!(removed, "active host indexed under its stored used key");
@@ -1192,14 +1116,13 @@ impl Dc {
 
         // Underloaded hosts, least loaded first: an ascending walk of the
         // freshly re-keyed `by_used` with an early exit at the threshold,
-        // replacing the old full active-set gather + sort. `merge_key`
-        // orders exactly as f64 `<` for the non-NaN, zero-canonical loads
-        // the simulator produces, and ties break on index — the same
-        // total order the old `total_cmp().then(cmp)` sort produced.
+        // replacing the old full active-set gather + sort. `total_key`
+        // orders exactly as `total_cmp`, and ties break on index — the
+        // same total order the old `total_cmp().then(cmp)` sort produced.
         // Candidates are snapshot into the buffer before evacuating
         // because try_evacuate itself edits `by_used`.
         let underload = policy.underload_threshold();
-        let limit = merge_key(underload);
+        let limit = total_key(underload);
         let mut order = std::mem::take(&mut self.order_buf);
         order.clear();
         order.extend(
@@ -1228,7 +1151,7 @@ impl Dc {
             while self.cfg.policy.consolidation.demotes_idle_zombies() {
                 // First (lowest-index) idle zombie, as the old full-fleet
                 // `position` scan found it.
-                match self.scan_merged(ScanReq::IdleZombie) {
+                match self.pick(Pick::IdleZombie) {
                     Some(i)
                         if self.pool_free_total() - self.usable_mem()
                             >= threshold + self.usable_mem() =>
@@ -1265,30 +1188,21 @@ impl Dc {
         resident.extend_from_slice(&self.hosts.vms[host]);
         let mut moves: Vec<PendingMove> = Vec::with_capacity(resident.len());
         let mut ok = true;
-        let ceiling = policy.booked_ceiling(self.cfg.cpu_fill_cap);
         for &task in &resident {
             let t = &trace.tasks()[task];
             let mem = policy
                 .migration_footprint(t.mem_booked, self.vms[task].as_ref().map(|v| v.local_mem));
             // Highest-booked fittable target, ties to the lowest index —
-            // the old `max_by(...).then(b.cmp(&a))` full scan. The
-            // booked-ordered walks seek past the hosts over the policy's
-            // ceiling and stop at each shard's first fitting entry;
-            // pools are re-snapshot per VM because each reserve_move
-            // shifts them.
-            self.snapshot_pools();
-            let from = seek_key(ceiling, t.cpu_booked);
-            let migrant = crate::policy::MigrantVm {
+            // the old `max_by(...).then(b.cmp(&a))` full scan. Each VM's
+            // walk takes a fresh pool snapshot, because each
+            // reserve_move shifts the pools.
+            let vm = MigrantVm {
                 cpu_booked: t.cpu_booked,
                 cpu_used: t.cpu_used,
                 mem,
                 wss: t.mem_used,
             };
-            match self.scan_merged(ScanReq::Migrate {
-                vm: migrant,
-                skip: host,
-                from,
-            }) {
+            match self.first_fit(Fit::Migrate { vm, skip: host }) {
                 Some(tgt) => moves.push(self.reserve_move(trace, task, tgt)),
                 None => {
                     ok = false;
@@ -1427,7 +1341,7 @@ impl Dc {
     /// 30 %-of-WSS rule and packs by *actual* CPU usage (overload
     /// detection guards the overcommit), which is where most of its
     /// extra consolidation comes from.
-    fn consolidation_fits(&self, target: usize, vm: &crate::policy::MigrantVm, pool: f64) -> bool {
+    fn consolidation_fits(&self, target: usize, vm: &MigrantVm, pool: f64) -> bool {
         if self.hosts.state[target] != HState::Active {
             return false;
         }

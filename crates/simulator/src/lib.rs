@@ -33,7 +33,6 @@
 //! host power states and the remote pool, which is the granularity the
 //! energy result depends on.
 
-mod crew;
 mod dc;
 mod events;
 pub mod policy;
@@ -80,13 +79,9 @@ pub struct SimConfig {
     /// from zombies in its own rack. `1` = one giant rack. Must be ≥ 1
     /// ([`SimConfig::validate`]).
     pub racks: u32,
-    /// Number of event-loop shards the racks are partitioned into (rack
-    /// `r` lives in shard `r % shards`; clamped to `racks` at use).
-    /// Decision scans decompose per shard and merge deterministically,
-    /// so the report is byte-identical at any value; above 1 a large
-    /// fleet may run its scans on a worker crew when the
-    /// [`zombieland_simcore::thread_budget`] allows. Must be ≥ 1
-    /// ([`SimConfig::validate`]).
+    /// Inert: the simulator has one serial event loop and never reads
+    /// this. Kept only because `perfbench/src/dc.rs` still assigns it;
+    /// a later benchmark-only change removes both.
     pub shards: u32,
     /// Record a fleet snapshot at this period into
     /// [`SimReport::timeline`] (`None` = no timeline).
@@ -115,9 +110,9 @@ impl SimConfig {
     /// The paper's setup for any registered policy (including ones
     /// outside the [`PolicyKind`] enum, like the `noconsolidate` toy).
     ///
-    /// Rack and shard counts come from the installed
-    /// [`zombieland_core::scenario`] (defaults: one rack, one shard), so
-    /// `--scenario scenarios/paper_full.toml`, `ZL_RACKS` and `--shards`
+    /// The rack count, backend and generation mix come from the installed
+    /// [`zombieland_core::scenario`] (default: one rack), so
+    /// `--scenario scenarios/paper_full.toml`, `ZL_RACKS` and `--backend`
     /// reach every CLI run without threading flags through each caller.
     pub fn with_spec(policy: &'static PolicySpec, profile: MachineProfile) -> Self {
         let scenario = zombieland_core::scenario::current();
@@ -134,7 +129,7 @@ impl SimConfig {
             sz_demote_threshold: Some(1.0),
             transition_costs: true,
             racks,
-            shards: scenario.shards_for(racks),
+            shards: 1,
             sample_interval: None,
             backend,
             cxl_capacity: scenario.cxl_cap,
@@ -149,9 +144,6 @@ impl SimConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.racks == 0 {
             return Err("racks must be >= 1 (the remote pool is rack-local)".into());
-        }
-        if self.shards == 0 {
-            return Err("shards must be >= 1 (1 = the serial event loop)".into());
         }
         if !self.usable_mem.is_finite() || self.usable_mem <= 0.0 {
             return Err(format!(

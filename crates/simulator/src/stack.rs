@@ -1,4 +1,4 @@
-//! The blocked stacking order: one shard's active hosts sorted by
+//! The blocked stacking order: the active hosts sorted by
 //! `(booked_key(cpu_booked), index)`, cut into short sorted blocks that
 //! each carry a best-case summary of their hosts.
 //!
@@ -15,7 +15,6 @@
 //! touched block from its hosts' live values (O([`B`])), so a summary is
 //! always bit-equal to a fresh recompute — which `Dc::validate` checks.
 
-use crate::crew::ScanHit;
 use crate::policy::HostLoad;
 
 /// Target block size: a block splits into `B` and `B + 1` entries when
@@ -99,6 +98,17 @@ impl Block {
             free_local: self.max_free,
         }
     }
+}
+
+/// What a [`StackOrder::first_fit`] walk found and what it cost.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct FirstFit {
+    /// The host of the first entry that passed `fits`.
+    pub(crate) host: Option<usize>,
+    /// Hosts the walk judged.
+    pub(crate) examined: u64,
+    /// Blocks the walk skipped on their best-case summary.
+    pub(crate) skipped: u64,
 }
 
 /// A sorted set of `(booked_key, host)` entries in blocks of at most
@@ -193,10 +203,10 @@ impl StackOrder {
         from: u64,
         mut corner_ok: impl FnMut(&HostLoad) -> bool,
         mut fits: impl FnMut(usize) -> bool,
-    ) -> ScanHit {
+    ) -> FirstFit {
         let start = (from, 0);
         let first = self.block_for(start);
-        let mut hit = ScanHit::default();
+        let mut hit = FirstFit::default();
         for (n, block) in self.blocks[first..].iter().enumerate() {
             if !corner_ok(&block.corner()) {
                 hit.skipped += 1;
@@ -207,10 +217,10 @@ impl StackOrder {
             } else {
                 0
             };
-            for &(key, i) in &block.entries[skip..] {
+            for &(_, i) in &block.entries[skip..] {
                 hit.examined += 1;
                 if fits(i) {
-                    hit.best = Some((key, i));
+                    hit.host = Some(i);
                     return hit;
                 }
             }
@@ -395,7 +405,7 @@ mod tests {
                 };
                 let hit = order.first_fit(from, ok, |i| ok(&m.load(i)));
                 let naive = m.set.range((from, 0)..).find(|&&(_, i)| ok(&m.load(i)));
-                assert_eq!(hit.best, naive.copied());
+                assert_eq!(hit.host, naive.map(|&(_, i)| i));
                 let walked = m.set.range((from, 0)..).count() as u64;
                 assert!(hit.examined <= walked);
                 skipped += hit.skipped;

@@ -219,41 +219,34 @@ fn generation_years_match_the_table() {
 }
 
 #[test]
-fn heterogeneous_fleets_are_deterministic_across_shards() {
+fn heterogeneous_fleets_price_by_generation() {
     let trace = small_trace(1.2);
-    let hetero = |shards| {
-        simulate(
-            &trace,
-            &SimConfig {
-                racks: 8,
-                shards,
-                generations: vec![2005, 2009, 2013],
-                ..SimConfig::new(PolicyKind::ZombieStack, MachineProfile::hp())
-            },
-        )
-    };
-    let serial = hetero(1);
-    let sharded = hetero(8);
-    assert_eq!(serial, sharded, "hetero fleet must not depend on shards");
-    assert_eq!(serial.dropped, 0);
+    let hetero = simulate(
+        &trace,
+        &SimConfig {
+            racks: 8,
+            generations: vec![2005, 2009, 2013],
+            ..SimConfig::new(PolicyKind::ZombieStack, MachineProfile::hp())
+        },
+    );
+    assert_eq!(hetero.dropped, 0);
     // A mixed fleet prices differently from the uniform reference.
     let uniform = simulate(
         &trace,
         &SimConfig {
             racks: 8,
-            shards: 1,
             ..SimConfig::new(PolicyKind::ZombieStack, MachineProfile::hp())
         },
     );
     assert_ne!(
-        serial.energy.get(),
+        hetero.energy.get(),
         uniform.energy.get(),
         "generation mix moved no energy"
     );
     assert!(
-        serial.energy.get() < uniform.energy.get(),
+        hetero.energy.get() < uniform.energy.get(),
         "older generations draw less: {} vs {}",
-        serial.energy.get(),
+        hetero.energy.get(),
         uniform.energy.get()
     );
 }

@@ -4,6 +4,28 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every temp file and directory the smokes make, plus the daemon they
+# start: one cleanup, registered once, runs on any exit.
+ZL_TMP=()
+ZOMBIED_PID=""
+cleanup() {
+    if [ -n "$ZOMBIED_PID" ]; then
+        kill "$ZOMBIED_PID" 2>/dev/null || true
+    fi
+    if [ "${#ZL_TMP[@]}" -gt 0 ]; then
+        rm -rf -- "${ZL_TMP[@]}"
+    fi
+}
+trap cleanup EXIT
+# `zl_tmp VAR [mktemp args]`: makes a temp path, stores it in VAR and
+# adds it to the cleanup list.
+zl_tmp() {
+    local path
+    path=$(mktemp "${@:2}")
+    ZL_TMP+=("$path")
+    printf -v "$1" '%s' "$path"
+}
+
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
@@ -29,15 +51,13 @@ echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
 echo "==> observability smoke (trace export parses and is non-empty)"
-ZL_TRACE=$(mktemp /tmp/zl-trace.XXXXXX.jsonl)
-trap 'rm -f "$ZL_TRACE"' EXIT
+zl_tmp ZL_TRACE /tmp/zl-trace.XXXXXX.jsonl
 ./target/release/zombieland-cli --obs-level full --trace-out "$ZL_TRACE" \
     experiment fig9 > /dev/null
 ./target/release/zombieland-cli validate-trace "$ZL_TRACE"
 
 echo "==> bench smoke (tiny grid emits a well-formed BENCH json, no bogus regression)"
-ZL_BENCH=$(mktemp /tmp/zl-bench.XXXXXX.json)
-trap 'rm -f "$ZL_TRACE" "$ZL_BENCH"' EXIT
+zl_tmp ZL_BENCH /tmp/zl-bench.XXXXXX.json
 ./target/release/zombieland-cli bench --quick --servers 24 --scale 0.02 \
     --jobs 2 --out "$ZL_BENCH" > /dev/null
 grep -q '"schema": "zombieland-bench-v1"' "$ZL_BENCH"
@@ -65,9 +85,8 @@ if [ "${ZL_HP:-1}" -gt 1 ]; then
 fi
 
 echo "==> scaling smoke (table1 output is byte-identical at jobs=1 and jobs=2)"
-ZL_J1=$(mktemp /tmp/zl-jobs1.XXXXXX.txt)
-ZL_J2=$(mktemp /tmp/zl-jobs2.XXXXXX.txt)
-trap 'rm -f "$ZL_TRACE" "$ZL_BENCH" "$ZL_J1" "$ZL_J2"' EXIT
+zl_tmp ZL_J1 /tmp/zl-jobs1.XXXXXX.txt
+zl_tmp ZL_J2 /tmp/zl-jobs2.XXXXXX.txt
 ./target/release/zombieland-cli experiment table1 --scale 0.02 --jobs 1 > "$ZL_J1"
 ./target/release/zombieland-cli experiment table1 --scale 0.02 --jobs 2 > "$ZL_J2"
 if ! cmp "$ZL_J1" "$ZL_J2"; then
@@ -76,9 +95,8 @@ if ! cmp "$ZL_J1" "$ZL_J2"; then
 fi
 
 echo "==> scenario smoke (--scenario file matches the equivalent ZL_* env run)"
-ZL_SCEN=$(mktemp /tmp/zl-scenario.XXXXXX.txt)
-ZL_ENV=$(mktemp /tmp/zl-env.XXXXXX.txt)
-trap 'rm -f "$ZL_TRACE" "$ZL_BENCH" "$ZL_J1" "$ZL_J2" "$ZL_SCEN" "$ZL_ENV"' EXIT
+zl_tmp ZL_SCEN /tmp/zl-scenario.XXXXXX.txt
+zl_tmp ZL_ENV /tmp/zl-env.XXXXXX.txt
 ./target/release/zombieland-cli --scenario scenarios/smoke.toml \
     experiment table1 > "$ZL_SCEN"
 ZL_SCALE=0.02 ZL_JOBS=1 ./target/release/zombieland-cli \
@@ -93,29 +111,12 @@ if ./target/release/zombieland-cli --scenario /nonexistent.toml \
     exit 1
 fi
 
-echo "==> sharding smoke (--shards 2 report bytes match the serial loop)"
-ZL_S1=$(mktemp /tmp/zl-shards1.XXXXXX.txt)
-ZL_S2=$(mktemp /tmp/zl-shards2.XXXXXX.txt)
-trap 'rm -f "$ZL_TRACE" "$ZL_BENCH" "$ZL_J1" "$ZL_J2" "$ZL_SCEN" "$ZL_ENV" \
-     "$ZL_S1" "$ZL_S2"' EXIT
-ZL_RACKS=6 ./target/release/zombieland-cli --shards 1 simulate \
-    --servers 120 --days 1 --policy zombiestack --jobs 1 > "$ZL_S1"
-ZL_RACKS=6 ./target/release/zombieland-cli --shards 2 simulate \
-    --servers 120 --days 1 --policy zombiestack --jobs 2 > "$ZL_S2"
-if ! cmp "$ZL_S1" "$ZL_S2"; then
-    echo "verify: FAIL — sharded event loop diverged from the serial loop" >&2
-    exit 1
-fi
-if ./target/release/zombieland-cli --shards 0 simulate --servers 24 --days 1 \
-    > /dev/null 2>&1; then
-    echo "verify: FAIL — --shards 0 must be an error" >&2
-    exit 1
-fi
-
-echo "==> block-skip smoke (release runs re-walk every admission/migration pick in full)"
+echo "==> scan cross-check smoke (release runs re-take every decision pick without the indexes)"
 # ZL_VALIDATE=1 arms the invariant sweep (block summaries bit-equal to
-# their hosts) and the cross-check of every seeking, block-skipping walk
-# against an unskipped walk from the first entry; a mismatch panics.
+# their hosts), the cross-check of every seeking, block-skipping
+# admission/migration walk against an unskipped walk from the first
+# entry, and of every wake, overcommit and demotion pick against a
+# naive walk over the fleet; a mismatch panics.
 for policy in neat oasis zombiestack; do
     ZL_VALIDATE=1 ZL_RACKS=6 ./target/release/zombieland-cli simulate \
         --servers 120 --days 1 --policy "$policy" > /dev/null
@@ -124,9 +125,7 @@ ZL_VALIDATE=1 ZL_RACKS=6 ZL_BACKEND=cxl ./target/release/zombieland-cli simulate
     --servers 120 --days 1 --policy zombiestack > /dev/null
 
 echo "==> streaming-memory guard (paper-preset bench bounds the resident event queue)"
-ZL_PAPER=$(mktemp /tmp/zl-paper.XXXXXX.json)
-trap 'rm -f "$ZL_TRACE" "$ZL_BENCH" "$ZL_J1" "$ZL_J2" "$ZL_SCEN" "$ZL_ENV" \
-     "$ZL_S1" "$ZL_S2" "$ZL_PAPER"' EXIT
+zl_tmp ZL_PAPER /tmp/zl-paper.XXXXXX.json
 # ZL_VALIDATE=1 arms the in-loop assertion that no more than one chunk of
 # the trace is ever resident; the JSON check then pins the recorded peak
 # to chunk size + 1 (the in-flight consolidation tick).
@@ -141,13 +140,11 @@ if ! grep -o '"peak_event_queue_len": [0-9]*' "$ZL_PAPER" \
 fi
 
 echo "==> scenario gallery smoke (every scenarios/*.toml runs and matches its golden)"
-ZL_GAL=$(mktemp /tmp/zl-gallery.XXXXXX.txt)
-trap 'rm -f "$ZL_TRACE" "$ZL_BENCH" "$ZL_J1" "$ZL_J2" "$ZL_SCEN" "$ZL_ENV" \
-     "$ZL_S1" "$ZL_S2" "$ZL_PAPER" "$ZL_GAL"' EXIT
+zl_tmp ZL_GAL /tmp/zl-gallery.XXXXXX.txt
 for scen in scenarios/*.toml; do
     name=$(basename "$scen" .toml)
     # The 48x1 grid keeps even paper_full.toml (whose servers/days the
-    # explicit flags override) cheap enough for CI; racks/shards/backend/
+    # explicit flags override) cheap enough for CI; racks/backend/
     # generations still come from the file.
     ./target/release/zombieland-cli --scenario "$scen" simulate \
         --servers 48 --days 1 --policy zombiestack --jobs 1 > "$ZL_GAL"
@@ -183,9 +180,7 @@ if ! grep -q 'did you mean "cxl"' <<< "$ZL_HINT"; then
     echo "verify: FAIL — near-miss --backend should suggest 'cxl'" >&2
     exit 1
 fi
-ZL_CXL=$(mktemp /tmp/zl-cxl.XXXXXX.txt)
-trap 'rm -f "$ZL_TRACE" "$ZL_BENCH" "$ZL_J1" "$ZL_J2" "$ZL_SCEN" "$ZL_ENV" \
-     "$ZL_S1" "$ZL_S2" "$ZL_PAPER" "$ZL_GAL" "$ZL_CXL"' EXIT
+zl_tmp ZL_CXL /tmp/zl-cxl.XXXXXX.txt
 ./target/release/zombieland-cli --backend cxl simulate --servers 48 --days 1 \
     --policy zombiestack --jobs 1 > "$ZL_CXL"
 # The shared tier retires the zombie state entirely.
@@ -210,12 +205,7 @@ if ./target/release/zombieland-cli simulate --policy nosuchpolicy \
 fi
 
 echo "==> daemon smoke (zombied serves all seven ops; same-seed replays export identical metrics)"
-ZL_DIR=$(mktemp -d /tmp/zl-daemon.XXXXXX)
-ZOMBIED_PID=""
-trap '[ -n "${ZOMBIED_PID:-}" ] && kill "$ZOMBIED_PID" 2>/dev/null || true; \
-     rm -rf "$ZL_DIR"; \
-     rm -f "$ZL_TRACE" "$ZL_BENCH" "$ZL_J1" "$ZL_J2" "$ZL_SCEN" "$ZL_ENV" \
-     "$ZL_S1" "$ZL_S2" "$ZL_PAPER"' EXIT
+zl_tmp ZL_DIR -d /tmp/zl-daemon.XXXXXX
 ZL_EP="unix:$ZL_DIR/zombied.sock"
 ./target/release/zombied --listen "$ZL_EP" --servers 8 --seed 11 \
     > "$ZL_DIR/zombied.log" 2>&1 &
@@ -306,11 +296,7 @@ if [ -S "$ZL_DIR/zombied.sock" ]; then
 fi
 
 echo "==> profile smoke (--profile emits a phase table and a PROFILE json covering the run)"
-ZL_PROF=$(mktemp -d /tmp/zl-profile.XXXXXX)
-trap '[ -n "${ZOMBIED_PID:-}" ] && kill "$ZOMBIED_PID" 2>/dev/null || true; \
-     rm -rf "$ZL_DIR" "$ZL_PROF"; \
-     rm -f "$ZL_TRACE" "$ZL_BENCH" "$ZL_J1" "$ZL_J2" "$ZL_SCEN" "$ZL_ENV" \
-     "$ZL_S1" "$ZL_S2" "$ZL_PAPER"' EXIT
+zl_tmp ZL_PROF -d /tmp/zl-profile.XXXXXX
 ZL_ROOT=$PWD
 (cd "$ZL_PROF" && "$ZL_ROOT/target/release/zombieland-cli" \
     experiment fig8 --scale 0.02 --profile > run.txt)

@@ -5,7 +5,7 @@
 //! halves, and this suite pins both:
 //!
 //! 1. **RdmaZombie is the identity.** Selecting the paper's backend
-//!    explicitly — through the trait, at any shard or job count — must
+//!    explicitly — through the trait, at any job count — must
 //!    reproduce the pre-refactor goldens byte for byte. The goldens in
 //!    `tests/golden/` were captured *before* the trait existed, so any
 //!    repricing sneaking into the default path fails here.
@@ -48,27 +48,24 @@ fn render(label: &str, r: &SimReport) -> String {
 }
 
 /// (1a) The explicit `--backend rdma` path is byte-identical to the
-/// pre-refactor policy-conformance golden, serial and sharded.
+/// pre-refactor policy-conformance golden.
 #[test]
 fn rdma_through_the_trait_matches_prerefactor_golden() {
     let golden = include_str!("golden/policy_conformance_40x1.txt");
     let trace = experiments::fig10_trace(40, 1, 11);
-    for shards in [1u32, 8] {
-        let mut out = String::new();
-        for p in PAPER_POLICIES {
-            let cfg = SimConfig {
-                backend: &RDMA_ZOMBIE,
-                shards,
-                ..SimConfig::new(p, MachineProfile::hp())
-            };
-            let r = simulate(&trace, &cfg);
-            out.push_str(&render(r.policy, &r));
-        }
-        assert_eq!(
-            out, golden,
-            "explicit rdma backend drifted from the pre-trait golden at shards={shards}"
-        );
+    let mut out = String::new();
+    for p in PAPER_POLICIES {
+        let cfg = SimConfig {
+            backend: &RDMA_ZOMBIE,
+            ..SimConfig::new(p, MachineProfile::hp())
+        };
+        let r = simulate(&trace, &cfg);
+        out.push_str(&render(r.policy, &r));
     }
+    assert_eq!(
+        out, golden,
+        "explicit rdma backend drifted from the pre-trait golden"
+    );
 }
 
 /// (1b) The Fig. 10 grid — the report the paper's headline numbers come

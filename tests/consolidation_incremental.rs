@@ -2,13 +2,13 @@
 //! re-keys only hosts whose load changed since the last round and walks
 //! a used-ordered index with an early exit, instead of gathering and
 //! sorting every active host. That is a scan restructuring, not a
-//! policy change — for any shard count and thread budget the merged
-//! `SimReport` must stay byte-identical, and (in debug builds) the
-//! in-loop `validate()` sweep asserts the dirty-set invariants after
-//! every consolidation round of every run below.
+//! policy change — at any `--jobs` count the `SimReport`s must stay
+//! byte-identical, and (in debug builds) the in-loop `validate()` sweep
+//! asserts the dirty-set invariants after every consolidation round of
+//! every run below.
 
 use zombieland::energy::MachineProfile;
-use zombieland::simcore::with_thread_budget;
+use zombieland::simcore::run_indexed;
 use zombieland::simulator::{simulate, PolicyKind, SimConfig, SimReport};
 use zombieland_bench::experiments;
 
@@ -18,19 +18,21 @@ use zombieland_bench::experiments;
 /// is being consumed).
 const POLICIES: [PolicyKind; 3] = [PolicyKind::Neat, PolicyKind::Oasis, PolicyKind::ZombieStack];
 
+/// Every policy of `policies` on `trace`, fanned out over `jobs`
+/// workers, in policy order.
 fn run(
     trace: &zombieland::trace::ClusterTrace,
-    policy: PolicyKind,
+    policies: &[PolicyKind],
     racks: u32,
-    shards: u32,
     jobs: usize,
-) -> SimReport {
-    let cfg = SimConfig {
-        racks,
-        shards,
-        ..SimConfig::new(policy, MachineProfile::hp())
-    };
-    with_thread_budget(jobs, || simulate(trace, &cfg))
+) -> Vec<SimReport> {
+    run_indexed(jobs, policies.len(), |i| {
+        let cfg = SimConfig {
+            racks,
+            ..SimConfig::new(policies[i], MachineProfile::hp())
+        };
+        simulate(trace, &cfg)
+    })
 }
 
 fn assert_bytes_equal(a: &SimReport, b: &SimReport, what: &str) {
@@ -49,23 +51,16 @@ fn assert_bytes_equal(a: &SimReport, b: &SimReport, what: &str) {
     }
 }
 
-/// Dirty-set consolidation is invariant over shards {1, 8} × jobs
-/// {1, 2}: every combination reproduces the serial report bit for bit.
+/// Dirty-set consolidation is invariant over jobs {1, 2}: the runs
+/// fanned out over two workers reproduce the serial reports bit for
+/// bit.
 #[test]
-fn dirty_set_consolidation_is_shard_and_job_invariant() {
+fn dirty_set_consolidation_is_job_invariant() {
     let trace = experiments::fig10_trace(160, 1, 11);
-    for policy in POLICIES {
-        let serial = run(&trace, policy, 8, 1, 1);
-        for shards in [1u32, 8] {
-            for jobs in [1usize, 2] {
-                let got = run(&trace, policy, 8, shards, jobs);
-                assert_bytes_equal(
-                    &serial,
-                    &got,
-                    &format!("{policy:?} shards={shards} jobs={jobs}"),
-                );
-            }
-        }
+    let serial = run(&trace, &POLICIES, 8, 1);
+    let fanned = run(&trace, &POLICIES, 8, 2);
+    for (i, policy) in POLICIES.iter().enumerate() {
+        assert_bytes_equal(&serial[i], &fanned[i], &format!("{policy:?} jobs=2"));
     }
 }
 
@@ -74,14 +69,15 @@ fn dirty_set_consolidation_is_shard_and_job_invariant() {
 /// reactivation re-filing and mid-round dirtying all hit here, with
 /// debug `validate()` checking `by_used` after every round.
 #[test]
-fn churny_fleet_stays_coherent_across_shards() {
+fn churny_fleet_stays_coherent_across_jobs() {
     let trace = experiments::fig10_trace(130, 2, 23);
-    for policy in [PolicyKind::Neat, PolicyKind::ZombieStack] {
-        let serial = run(&trace, policy, 7, 1, 1);
-        let sharded = run(&trace, policy, 7, 8, 2);
+    let policies = [PolicyKind::Neat, PolicyKind::ZombieStack];
+    let serial = run(&trace, &policies, 7, 1);
+    let fanned = run(&trace, &policies, 7, 2);
+    for (i, policy) in policies.iter().enumerate() {
         assert_bytes_equal(
-            &serial,
-            &sharded,
+            &serial[i],
+            &fanned[i],
             &format!("{policy:?} churny 7-rack fleet"),
         );
     }

@@ -40,7 +40,9 @@ fn pinned_reports() -> String {
     let trace = experiments::fig10_trace(40, 1, 11);
     let mut out = String::new();
     for p in PAPER_POLICIES {
-        let r = simulate(&trace, &SimConfig::new(p, MachineProfile::hp()));
+        let cfg = SimConfig::new(p, MachineProfile::hp());
+        assert_eq!(cfg.racks, 1, "the golden runs the one-rack config");
+        let r = simulate(&trace, &cfg);
         // The label comes from the report itself, so the golden also pins
         // the registry's `label` strings end to end.
         out.push_str(&render(r.policy, &r));
