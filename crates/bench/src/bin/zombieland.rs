@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! zombieland experiment <name|all> [--scale S] [--jobs N]
-//! zombieland bench [--quick|--paper] [--servers N] [--days D] [--scale S] [--jobs N] [--out FILE] [--baseline-ns NS] [--baseline-label STR]
+//! zombieland bench [--servers N] [--days D] [--out FILE]
 //! zombieland simulate [--servers N] [--days D] [--policy P] [--modified] [--machine hp|dell] [--trace FILE] [--timeline] [--pue X] [--jobs N]
 //! zombieland trace [--servers N] [--days D] [--seed S] --out FILE
 //! zombieland validate-trace <FILE>
@@ -33,10 +33,10 @@
 //! across N worker threads. Results are bit-for-bit identical at any
 //! thread count.
 //!
-//! `bench --paper` replaces the scaling grids with one full-paper-scale
-//! pass (12,583 servers × 29 days, seeded): AlwaysOn and ZombieStack,
-//! recording `events_per_sec` and `peak_event_queue_len` per run in the
-//! `BENCH_<stamp>.json`.
+//! `bench` times one full-paper-scale pass (12,583 servers × 29 days,
+//! seeded): AlwaysOn and ZombieStack, recording `events_per_sec` and
+//! `peak_event_queue_len` per run in the `BENCH_<stamp>.json`. The
+//! per-layer timings live in the standalone `perfbench/` package.
 //!
 //! Experiment knobs resolve through the typed scenario layer
 //! (`zombieland_core::scenario`), highest precedence first: CLI flags
@@ -59,7 +59,6 @@ use std::process::ExitCode;
 
 use zombieland_bench::experiments;
 use zombieland_energy::MachineProfile;
-use zombieland_hypervisor::Policy;
 use zombieland_obs::profile;
 use zombieland_obs::{observe, run_indexed_obs, ObsLevel, ObsRun};
 use zombieland_simcore::SimDuration;
@@ -75,8 +74,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
          zombieland experiment <name|all> [--scale S] [--jobs N]\n  \
-         zombieland bench [--quick|--paper] [--servers N] [--days D] [--scale S] [--jobs N] \
-         [--out FILE] [--baseline-ns NS] [--baseline-label STR]\n  \
+         zombieland bench [--servers N] [--days D] [--out FILE]\n  \
          zombieland simulate [--servers N] [--days D] [--policy NAME|all] \
          [--modified] [--machine hp|dell] [--trace FILE] [--timeline] [--pue X] [--jobs N]\n  \
          zombieland trace [--servers N] [--days D] [--seed S] --out FILE\n  \
@@ -227,319 +225,31 @@ fn cmd_experiment(args: &[String]) -> ExitCode {
     }
 }
 
-/// One timed pass over a benchmark grid.
-struct BenchTiming {
-    jobs: usize,
-    wall_ns: u128,
-    runs: usize,
-    /// Trace events replayed across the pass's runs (`0` when the grid
-    /// is not a trace replay, e.g. fig8).
-    events: u64,
-}
-
-impl BenchTiming {
-    fn runs_per_sec(&self) -> f64 {
-        self.runs as f64 * 1e9 / self.wall_ns as f64
-    }
-
-    fn to_json(&self, jobs1_wall_ns: Option<u128>, host_parallelism: usize) -> Value {
-        let mut fields = vec![
-            ("jobs".into(), Value::UInt(self.jobs as u64)),
-            ("wall_ns".into(), Value::UInt(self.wall_ns as u64)),
-            ("runs_per_sec".into(), Value::Float(self.runs_per_sec())),
-        ];
-        if self.events > 0 {
-            fields.push((
-                "events_per_sec".into(),
-                Value::Float(self.events as f64 * 1e9 / self.wall_ns as f64),
-            ));
-        }
-        if let Some(base) = jobs1_wall_ns.filter(|_| self.jobs > 1) {
-            let speedup = base as f64 / self.wall_ns as f64;
-            fields.push(("speedup_vs_jobs1".into(), Value::Float(speedup)));
-            // Sub-1.0 scaling is only the harness's fault when the host
-            // could actually have run the workers concurrently.
-            fields.push((
-                "regression".into(),
-                Value::Bool(speedup < 1.0 && host_parallelism > 1),
-            ));
-        }
-        Value::Object(fields)
-    }
-}
-
-/// Times `grid` across the scaling curve — every worker count in
-/// `{1, 2, 4, jobs}` that does not exceed `jobs` — and prints a human
-/// line per pass, with its speedup over the `jobs = 1` pass. A parallel
-/// pass slower than serial is called out as a `REGRESSION` — but only
-/// when `host_parallelism > 1`: on a single-core host the curve is
-/// hardware-capped and a sub-1.0 "speedup" says nothing about the
-/// harness.
-fn time_grid(
-    name: &str,
-    runs: usize,
-    events: u64,
-    jobs: usize,
-    host_parallelism: usize,
-    mut grid: impl FnMut(usize),
-) -> Vec<BenchTiming> {
-    let mut counts: Vec<usize> = [1, 2, 4, jobs].into_iter().filter(|&j| j <= jobs).collect();
-    counts.sort_unstable();
-    counts.dedup();
-    let mut jobs1_wall: Option<u128> = None;
-    counts
-        .into_iter()
-        .map(|j| {
-            let start = std::time::Instant::now();
-            grid(j);
-            let t = BenchTiming {
-                jobs: j,
-                wall_ns: start.elapsed().as_nanos(),
-                runs,
-                events,
-            };
-            if j == 1 {
-                jobs1_wall = Some(t.wall_ns);
-            }
-            let scaling = match jobs1_wall {
-                Some(base) if j > 1 => {
-                    let speedup = base as f64 / t.wall_ns as f64;
-                    let flag = if speedup < 1.0 && host_parallelism > 1 {
-                        "  REGRESSION"
-                    } else {
-                        ""
-                    };
-                    format!("  {speedup:.2}x vs jobs=1{flag}")
-                }
-                _ => String::new(),
-            };
-            println!(
-                "{name:<6} jobs={:<2} {:>10.3} s  ({} runs, {:.2} runs/s){scaling}",
-                t.jobs,
-                t.wall_ns as f64 / 1e9,
-                t.runs,
-                t.runs_per_sec()
-            );
-            t
-        })
-        .collect()
-}
-
-/// Newest committed bench record in the working directory: the
-/// `BENCH_<stamp>.json` with the largest numeric stamp. Non-numeric
-/// stamps (e.g. `BENCH_paper_full.json`) are curated snapshots, not
-/// trajectory points, and are skipped.
-fn newest_bench_record() -> Option<String> {
-    let mut best: Option<(u64, String)> = None;
-    for entry in std::fs::read_dir(".").ok()?.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stamp) = name
-            .strip_prefix("BENCH_")
-            .and_then(|r| r.strip_suffix(".json"))
-            .and_then(|s| s.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        if best.as_ref().is_none_or(|(b, _)| stamp > *b) {
-            best = Some((stamp, name.to_string()));
-        }
-    }
-    best.map(|(_, name)| name)
-}
-
-/// Default `--baseline-ns`: the fig10 `jobs = 1` wall time from the
-/// newest committed `BENCH_<stamp>.json`, provided that grid was
-/// measured at the same `servers x days` as this run (a --quick smoke
-/// must not "compare" itself against a full-scale record).
-fn auto_baseline(servers: u64, days: u64) -> Option<(String, u64)> {
-    let name = newest_bench_record()?;
-    let text = std::fs::read_to_string(&name).ok()?;
-    let grid = text.find("\"name\": \"fig10\"")?;
-    let rest = &text[grid..];
-    // Stop at the next grid header so fig8 numbers can't bleed in.
-    let end = rest[1..].find("\"name\": ").map_or(rest.len(), |i| i + 1);
-    let rest = &rest[..end];
-    if json_field_u64(rest, "\"servers\": ")? != servers
-        || json_field_u64(rest, "\"days\": ")? != days
-    {
-        return None;
-    }
-    // The first timing entry is always the jobs=1 pass.
-    json_field_u64(rest, "\"wall_ns\": ").map(|ns| (name, ns))
-}
-
-/// Reads the unsigned integer following `key` in a JSON fragment the
-/// bench writer itself produced (fixed `"key": value` formatting).
-fn json_field_u64(text: &str, key: &str) -> Option<u64> {
-    let i = text.find(key)? + key.len();
-    let digits = text[i..]
-        .split(|c: char| !c.is_ascii_digit())
-        .next()
-        .unwrap_or("");
-    digits.parse().ok()
-}
-
-/// `zombieland bench`: times the Fig. 10 and Fig. 8 grids end-to-end
-/// across the jobs scaling curve (`{1, 2, 4, --jobs}`) and writes a
-/// `BENCH_<stamp>.json` record pinning the perf trajectory, including
-/// `speedup_vs_jobs1` per parallel pass.
-///
-/// Simulation outputs are discarded — the subject here is the harness's
-/// wall time, on exactly the code paths `experiment fig10`/`fig8` run.
-/// `--baseline-ns` (with an optional `--baseline-label`) embeds a prior
-/// measurement of the Fig. 10 `jobs = 1` pass so the JSON carries its own
-/// before/after comparison. Without the flag, the newest committed
-/// `BENCH_<stamp>.json` in the working directory whose fig10 grid ran at
-/// the same `servers x days` is auto-loaded as the baseline, so repeated
-/// `zombieland bench` runs compare against the last recorded trajectory
-/// by default.
+/// `zombieland bench`: one paper-scale pass, timed — the Fig. 10 trace
+/// family at the paper's fleet (12,583 servers × 29 days by default,
+/// seeded), AlwaysOn baseline plus ZombieStack, one after the other so
+/// each policy's wall time is measured alone. Racks follow the paper's
+/// ~40-host geometry (`servers / 40`, rounded up). The run itself is
+/// the subject here, so reports are kept: the `BENCH_<stamp>.json`
+/// (path overridable with `--out`) records `events_per_sec`,
+/// `peak_event_queue_len` (the streaming-memory guard) and the energy
+/// outcome per policy.
 fn cmd_bench(args: &[String]) -> ExitCode {
-    let quick = args.iter().any(|a| a == "--quick");
-    let paper = args.iter().any(|a| a == "--paper");
-    let (def_servers, def_days, def_scale) = if paper {
-        (12_583, 29, 0.25)
-    } else if quick {
-        (48, 1, 0.04)
-    } else {
-        (600, 2, 0.25)
-    };
-    let servers = flag_value(args, "--servers")
+    let servers: u32 = flag_value(args, "--servers")
         .and_then(|v| v.parse().ok())
-        .unwrap_or(def_servers);
-    let days = flag_value(args, "--days")
+        .unwrap_or(12_583);
+    let days: u64 = flag_value(args, "--days")
         .and_then(|v| v.parse().ok())
-        .unwrap_or(def_days);
-    let scale = flag_value(args, "--scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(def_scale);
-    let jobs = jobs_flag(args);
-    let mut baseline_ns: Option<u64> =
-        flag_value(args, "--baseline-ns").and_then(|v| v.parse().ok());
-    let mut baseline_label = flag_value(args, "--baseline-label");
-    if baseline_ns.is_none() && !paper {
-        if let Some((name, ns)) = auto_baseline(servers as u64, days) {
-            println!("baseline: {name} fig10 jobs=1 (auto-loaded; override with --baseline-ns)");
-            baseline_ns = Some(ns);
-            if baseline_label.is_none() {
-                baseline_label = Some(format!("auto {name} fig10 jobs=1"));
-            }
-        }
-    }
-
+        .unwrap_or(29);
     let stamp = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let out = flag_value(args, "--out").unwrap_or_else(|| format!("BENCH_{stamp}.json"));
-
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if paper {
-        return bench_paper(servers, days, jobs, &out, stamp, host);
-    }
-    println!("bench: fig10 {servers} servers x {days} day(s), fig8 scale {scale}, jobs {jobs}");
-    if host < jobs {
-        println!(
-            "note: host exposes {host} core(s) for {jobs} jobs — the scaling \
-             curve is capped by hardware, not the harness"
-        );
-    }
 
-    let trace = experiments::fig10_trace(servers, days, 11);
-    let modified = trace.modified();
-    let fig10_runs = 2 * 2 * experiments::FIG10_POLICIES.len();
-    // Every grid run replays the full event stream (the modified trace
-    // keeps the task count), so the pass's event total is exact.
-    let fig10_events = fig10_runs as u64 * trace.events_len() as u64;
-    let fig10 = time_grid("fig10", fig10_runs, fig10_events, jobs, host, |j| {
-        std::hint::black_box(experiments::figure10_grid(&trace, &modified, j));
-    });
-
-    let fig8_policies = [Policy::Fifo, Policy::Clock, Policy::MIXED_DEFAULT];
-    let fig8_runs = fig8_policies.len() * 9;
-    let fig8 = time_grid("fig8", fig8_runs, 0, jobs, host, |j| {
-        for p in fig8_policies {
-            std::hint::black_box(experiments::figure8_jobs(p, scale, j));
-        }
-    });
-
-    let grid_json = |name: &str, params: Vec<(String, Value)>, timings: &[BenchTiming]| {
-        let jobs1 = timings.first().map(|t| t.wall_ns);
-        let mut fields = vec![("name".into(), Value::Str(name.into()))];
-        fields.extend(params);
-        fields.push(("runs".into(), Value::UInt(timings[0].runs as u64)));
-        fields.push((
-            "timings".into(),
-            Value::Array(timings.iter().map(|t| t.to_json(jobs1, host)).collect()),
-        ));
-        fields
-    };
-
-    let mut fig10_fields = grid_json(
-        "fig10",
-        vec![
-            ("servers".into(), Value::UInt(servers as u64)),
-            ("days".into(), Value::UInt(days)),
-            ("seed".into(), Value::UInt(11)),
-        ],
-        &fig10,
-    );
-    if let Some(base) = baseline_ns {
-        let speedup = base as f64 / fig10[0].wall_ns as f64;
-        let mut b = vec![("wall_ns".into(), Value::UInt(base))];
-        if let Some(label) = &baseline_label {
-            b.insert(0, ("label".into(), Value::Str(label.clone())));
-        }
-        b.push(("speedup_at_jobs1".into(), Value::Float(speedup)));
-        fig10_fields.push(("baseline".into(), Value::Object(b)));
-        println!("fig10 jobs=1 speedup vs baseline: {speedup:.2}x");
-    }
-    let fig8_fields = grid_json("fig8", vec![("scale".into(), Value::Float(scale))], &fig8);
-
-    let doc = Value::Object(vec![
-        ("schema".into(), Value::Str("zombieland-bench-v1".into())),
-        ("created_unix".into(), Value::UInt(stamp)),
-        ("jobs".into(), Value::UInt(jobs as u64)),
-        ("host_parallelism".into(), Value::UInt(host as u64)),
-        (
-            "grids".into(),
-            Value::Array(vec![
-                Value::Object(fig10_fields),
-                Value::Object(fig8_fields),
-            ]),
-        ),
-    ]);
-    let mut body = doc.pretty();
-    body.push('\n');
-    match std::fs::write(&out, body) {
-        Ok(()) => {
-            println!("wrote {out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("cannot write {out:?}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `zombieland bench --paper`: one full-paper-scale pass — the Fig. 10
-/// trace family at the paper's fleet (12,583 servers × 29 days by
-/// default, seeded), AlwaysOn baseline plus ZombieStack. Racks follow
-/// the paper's ~40-host geometry (`servers / 40`, rounded up). The run
-/// itself is the subject here, so reports are kept: the JSON's
-/// `paper` grid records `events_per_sec`, `peak_event_queue_len` (the
-/// streaming-memory guard) and the energy outcome per policy.
-fn bench_paper(
-    servers: u32,
-    days: u64,
-    jobs: usize,
-    out: &str,
-    stamp: u64,
-    host: usize,
-) -> ExitCode {
     let racks = servers.div_ceil(40).max(1);
-    println!("bench --paper: {servers} servers x {days} day(s), {racks} racks, jobs {jobs}");
+    println!("bench: {servers} servers x {days} day(s), {racks} racks");
     let t0 = std::time::Instant::now();
     let trace = experiments::fig10_trace(servers, days, 11);
     let trace_gen_ns = t0.elapsed().as_nanos() as u64;
@@ -611,13 +321,12 @@ fn bench_paper(
     let doc = Value::Object(vec![
         ("schema".into(), Value::Str("zombieland-bench-v1".into())),
         ("created_unix".into(), Value::UInt(stamp)),
-        ("jobs".into(), Value::UInt(jobs as u64)),
         ("host_parallelism".into(), Value::UInt(host as u64)),
         ("grids".into(), Value::Array(vec![grid])),
     ]);
     let mut body = doc.pretty();
     body.push('\n');
-    match std::fs::write(out, body) {
+    match std::fs::write(&out, body) {
         Ok(()) => {
             println!("wrote {out}");
             ExitCode::SUCCESS
@@ -1109,17 +818,7 @@ fn dispatch(args: &[String]) -> ExitCode {
         Some("bench") => checked(
             &args[1..],
             0,
-            &[
-                ("--quick", false),
-                ("--paper", false),
-                ("--servers", true),
-                ("--days", true),
-                ("--scale", true),
-                ("--jobs", true),
-                ("--out", true),
-                ("--baseline-ns", true),
-                ("--baseline-label", true),
-            ],
+            &[("--servers", true), ("--days", true), ("--out", true)],
             cmd_bench,
         ),
         Some("simulate") => checked(

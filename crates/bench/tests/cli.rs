@@ -15,6 +15,10 @@ fn unknown_flags_are_rejected_with_usage() {
         vec!["simulate", "--serverz", "10"],
         vec!["trace", "--out", "/dev/null", "--fast"],
         vec!["list", "--verbose"],
+        vec!["bench", "--quick"],
+        vec!["bench", "--paper"],
+        vec!["bench", "--jobs", "2"],
+        vec!["bench", "--baseline-ns", "1"],
     ] {
         let out = bin().args(&args).output().expect("spawns");
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");

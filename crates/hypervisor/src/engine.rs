@@ -307,8 +307,7 @@ pub fn run_ops(
 
 /// Runs exactly `ops` accesses one page at a time — the per-page
 /// reference semantics the batched path is pinned against. Kept callable
-/// for equivalence tests and microbenches; [`run_ops`] is the production
-/// path.
+/// for the equivalence tests; [`run_ops`] is the production path.
 pub fn run_ops_reference(
     workload: &mut dyn Workload,
     cfg: &EngineConfig,

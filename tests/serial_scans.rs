@@ -92,27 +92,36 @@ fn overloaded_fleet_matches_its_pin() {
     assert_eq!(out, OVERLOADED_PIN);
 }
 
-/// The hosts-examined and blocks-skipped work counters do not depend on
-/// `--jobs`: runs fanned out over two workers merge into the same
-/// histograms as the same runs one after another.
-#[test]
-fn hosts_examined_counters_are_job_invariant() {
-    let trace = ClusterTrace::generate(zombieland::trace::TraceConfig {
+/// The fleet the work-counter tests share: 520 hosts over 13 racks,
+/// four hours of the original trace.
+fn counter_fleet() -> ClusterTrace {
+    ClusterTrace::generate(zombieland::trace::TraceConfig {
         servers: 520,
         duration: zombieland::simcore::SimDuration::from_hours(4),
         seed: 5,
         mem_cpu_ratio: 1.0,
         avg_utilization: 0.25,
-    });
+    })
+}
+
+fn counter_config(policy: PolicyKind) -> SimConfig {
+    SimConfig {
+        racks: 13,
+        ..SimConfig::new(policy, MachineProfile::hp())
+    }
+}
+
+/// The hosts-examined and blocks-skipped work counters do not depend on
+/// `--jobs`: runs fanned out over two workers merge into the same
+/// histograms as the same runs one after another.
+#[test]
+fn hosts_examined_counters_are_job_invariant() {
+    let trace = counter_fleet();
     let policies = [PolicyKind::Neat, PolicyKind::ZombieStack];
     let counters = |jobs| {
         let (_, run) = observe(ObsLevel::Summary, || {
             run_indexed_obs(jobs, policies.len(), |i| {
-                let cfg = SimConfig {
-                    racks: 13,
-                    ..SimConfig::new(policies[i], MachineProfile::hp())
-                };
-                simulate(&trace, &cfg)
+                simulate(&trace, &counter_config(policies[i]))
             })
         });
         [
@@ -128,4 +137,58 @@ fn hosts_examined_counters_are_job_invariant() {
         })
     };
     assert_eq!(counters(1), counters(2));
+}
+
+/// A hosts-examined histogram's `(count, sum)`.
+type ScanWork = (u64, u64);
+
+/// Scan work on the counter fleet, per Fig. 10 policy: the `(count,
+/// sum)` of `sim.admit.hosts_examined`, and of
+/// `sim.migrate.hosts_examined` for the policies that migrate.
+///
+/// The count is the number of scans, which no index may change. The
+/// sum is the hosts those scans judged; it may grow to twice its pin
+/// before the gate trips, so a seek or a block skip that stops paying
+/// fails here, deterministically, on any host. A change that alters
+/// scan work on purpose re-records these pins in the same commit.
+const SCAN_WORK_PIN: [(PolicyKind, ScanWork, Option<ScanWork>); 4] = [
+    (PolicyKind::AlwaysOn, (10_591, 45_591), None),
+    (PolicyKind::Neat, (10_965, 50_601), Some((1_021, 3_200))),
+    (PolicyKind::Oasis, (10_968, 50_264), Some((1_097, 3_960))),
+    (
+        PolicyKind::ZombieStack,
+        (10_958, 121_089),
+        Some((677, 16_339)),
+    ),
+];
+
+#[test]
+fn scan_work_stays_within_its_pin() {
+    let trace = counter_fleet();
+    assert_eq!(
+        SCAN_WORK_PIN.map(|(policy, ..)| policy),
+        experiments::FIG10_POLICIES
+    );
+    let mut failures = Vec::new();
+    for (policy, admit, migrate) in SCAN_WORK_PIN {
+        let (_, run) = observe(ObsLevel::Summary, || {
+            simulate(&trace, &counter_config(policy))
+        });
+        for (name, pin) in [
+            ("sim.admit.hosts_examined", Some(admit)),
+            ("sim.migrate.hosts_examined", migrate),
+        ] {
+            let (count, sum) = run
+                .metrics
+                .histogram(name)
+                .map_or((0, 0), |h| (h.count, h.sum));
+            let (pin_count, pin_sum) = pin.unwrap_or((0, 0));
+            if count != pin_count || sum > 2 * pin_sum {
+                failures.push(format!(
+                    "{policy:?} {name}: (count, sum) = ({count}, {sum}), pin ({pin_count}, {pin_sum})"
+                ));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
