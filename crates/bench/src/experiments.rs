@@ -10,7 +10,7 @@ use zombieland_energy::profile::MeasuredConfig;
 use zombieland_energy::rack::{figure4, RackDemand, RackEnergy};
 use zombieland_energy::MachineProfile;
 use zombieland_hypervisor::engine::{self, Backing, EngineConfig, RunStats};
-use zombieland_hypervisor::{Mode, Policy, SwapBackend};
+use zombieland_hypervisor::{Policy, SwapBackend};
 use zombieland_obs::{profile, run_indexed_obs};
 use zombieland_simcore::report::{fmt_penalty, Table};
 use zombieland_simcore::{derive_seed, Bytes, SimDuration};
@@ -780,12 +780,4 @@ pub fn print_figure6() {
             .collect::<Vec<_>>(),
         outcome.latency
     );
-}
-
-// Re-export for the ram-ext mode check used by examples/tests.
-pub use zombieland_hypervisor::engine::run as engine_run;
-
-/// Sanity helper: make sure a mode value exists for doc purposes.
-pub fn default_mode() -> Mode {
-    Mode::RamExt
 }

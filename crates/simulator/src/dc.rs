@@ -9,9 +9,9 @@
 //!
 //! # Decision scans
 //!
-//! Host state lives in a struct-of-arrays [`Hosts`] table beside three
-//! index sets: `active`, the blocked stacking order `stack` and
-//! `nonactive`. Every decision is one serial scan over one of them.
+//! Host state lives in a struct-of-arrays [`Hosts`] table beside four
+//! index sets: `active`, the blocked stacking order `stack`, `zombies`
+//! and `sleeping`. Every decision is one serial scan over one of them.
 //! Admission and migration ([`Fit`]) are first-fit walks along the
 //! stacking order; the four other scans ([`Pick`]) walk an index set in
 //! ascending host order. Under [`Dc::validate_on`] each answer is
@@ -235,13 +235,16 @@ pub(crate) struct Dc {
     /// Active hosts, ascending index.
     active: BTreeSet<usize>,
     /// Active hosts keyed by `(booked_key(cpu_booked), index)` — the
-    /// stacking preference order, in summarized blocks. The key is built
-    /// from the host's exact stored bits at index time; `update_host`
-    /// repositions entries whenever the value changes and refreshes a
-    /// block's summary whenever a host's usage or memory does.
+    /// stacking preference order, in summarized blocks, each entry with
+    /// a copy of its host's load. The key is built from the host's exact
+    /// stored bits at index time; `update_host` repositions entries
+    /// whenever the value changes and refreshes an entry's load (and its
+    /// block's summary) whenever a host's usage or memory does.
     stack: StackOrder,
-    /// Sleeping and zombie hosts (the wake candidates), ascending index.
-    nonactive: BTreeSet<usize>,
+    /// Zombie hosts, ascending index (the wake and demotion candidates).
+    zombies: BTreeSet<usize>,
+    /// Sleeping (S3) hosts, ascending index.
+    sleeping: BTreeSet<usize>,
     /// Zombie hosts per rack (the rack-local remote pool's lenders).
     pub(crate) zombies_by_rack: Vec<BTreeSet<usize>>,
     /// Tasks holding remote-pool memory, per rack of their host.
@@ -279,12 +282,20 @@ pub(crate) struct Dc {
     /// Persistent buffer for the resident-VM snapshot in
     /// [`Dc::try_evacuate`].
     evac_buf: Vec<usize>,
-    /// Per-rack free-pool snapshot taken at the start of each placement
-    /// scan, so `fits` stops re-summing the pool per candidate host.
+    /// Free pool per rack, as [`Dc::pool_free`] sums it: current for
+    /// every rack not in [`Dc::pool_dirty`], and for all of them after
+    /// [`Dc::sync_pools`], which each placement scan starts with. All
+    /// zeros (never re-summed) under placements without a remote pool.
     pool_buf: Vec<f64>,
     /// The largest entry of [`Dc::pool_buf`]: the pool a block's
     /// best-case corner is judged with.
     pool_max: f64,
+    /// Racks whose zombie set, zombie lending or shared-tier allocation
+    /// changed since the last [`Dc::sync_pools`] (deduplicated by
+    /// [`Dc::pool_dirty_flag`]).
+    pool_dirty: Vec<u32>,
+    /// Membership flags for [`Dc::pool_dirty`].
+    pool_dirty_flag: Vec<bool>,
     /// Persistent buffer for the remote-holder walk in
     /// [`Dc::shed_vm_remote`].
     shed_buf: Vec<usize>,
@@ -377,7 +388,8 @@ impl Dc {
             oasis: OasisConfig::default(),
             active: (0..n).collect(),
             stack: StackOrder::default(),
-            nonactive: BTreeSet::new(),
+            zombies: BTreeSet::new(),
+            sleeping: BTreeSet::new(),
             zombies_by_rack: vec![BTreeSet::new(); cfg.racks as usize],
             remote_vms_by_rack: vec![BTreeSet::new(); cfg.racks as usize],
             cxl_allocated: vec![0.0; cfg.racks as usize],
@@ -388,18 +400,26 @@ impl Dc {
             used_dirty_flag: vec![false; n],
             order_buf: Vec::new(),
             evac_buf: Vec::new(),
-            pool_buf: Vec::new(),
+            pool_buf: vec![0.0; cfg.racks as usize],
             pool_max: 0.0,
+            pool_dirty: Vec::new(),
+            pool_dirty_flag: vec![false; cfg.racks as usize],
             shed_buf: Vec::new(),
             validate_on: validate_enabled(),
             cfg: cfg.clone(),
             state_counts: [n as u64, 0, 0],
         };
-        // The stacking order summarizes live loads, so it fills once the
-        // host table exists.
+        // The stacking order files each host's load, so it fills once
+        // the host table exists.
         for i in 0..n {
-            let hosts = &dc.hosts;
-            dc.stack.insert((booked_key(0.0), i), |j| hosts.load(j));
+            dc.stack.insert((booked_key(0.0), i), dc.hosts.load(i));
+        }
+        // Pool placements sum every rack's pool at the first scan; the
+        // others keep the zero buffer.
+        if cfg.policy.placement.uses_remote_pool() {
+            for r in 0..cfg.racks {
+                dc.mark_pool_dirty(r);
+            }
         }
         // Initial fleet power: everything on and idle. An empty fleet
         // has no host 0 to sample (and draws nothing). The uniform-fleet
@@ -444,16 +464,18 @@ impl Dc {
             self.index_host(h, state_before, state_after, booked_before, booked_after);
         } else if state_after == HState::Active {
             let used_changed = self.hosts.cpu_used[h].total_cmp(&used_before) != Ordering::Equal;
-            let hosts = &self.hosts;
-            let stack = &mut self.stack;
             if booked_after.total_cmp(&booked_before) != Ordering::Equal {
                 // total_cmp (not `!=`) so a -0.0/+0.0 flip still repositions
                 // and the stored key always matches the host's exact bits.
-                let removed = stack.remove((booked_key(booked_before), h), |i| hosts.load(i));
+                let removed = self.stack.remove((booked_key(booked_before), h));
                 debug_assert!(removed, "active host indexed under its old booked key");
-                stack.insert((booked_key(booked_after), h), |i| hosts.load(i));
-            } else if used_changed || hosts.mem_local[h].total_cmp(&mem_before) != Ordering::Equal {
-                stack.refresh((booked_key(booked_after), h), |i| hosts.load(i));
+                self.stack
+                    .insert((booked_key(booked_after), h), self.hosts.load(h));
+            } else if used_changed
+                || self.hosts.mem_local[h].total_cmp(&mem_before) != Ordering::Equal
+            {
+                self.stack
+                    .refresh((booked_key(booked_after), h), self.hosts.load(h));
             }
             if used_changed && !self.used_dirty_flag[h] {
                 // Lazy: the ordered `by_used` key is repositioned at the
@@ -468,14 +490,11 @@ impl Dc {
 
     /// Moves `h` between the index sets on a state change.
     fn index_host(&mut self, h: usize, from: HState, to: HState, booked_old: f64, booked_new: f64) {
-        let rack = self.hosts.rack[h] as usize;
-        let hosts = &self.hosts;
+        let rack = self.hosts.rack[h];
         match from {
             HState::Active => {
                 self.active.remove(&h);
-                let removed = self
-                    .stack
-                    .remove((booked_key(booked_old), h), |i| hosts.load(i));
+                let removed = self.stack.remove((booked_key(booked_old), h));
                 debug_assert!(removed, "active host indexed under its old booked key");
                 // Membership is eager even though key *values* are lazy:
                 // the stored key is whatever `used_key` last recorded.
@@ -483,18 +502,19 @@ impl Dc {
                 debug_assert!(removed, "active host indexed under its stored used key");
             }
             HState::Zombie => {
-                self.nonactive.remove(&h);
-                self.zombies_by_rack[rack].remove(&h);
+                self.zombies.remove(&h);
+                self.zombies_by_rack[rack as usize].remove(&h);
+                self.mark_pool_dirty(rack);
             }
             HState::Sleeping => {
-                self.nonactive.remove(&h);
+                self.sleeping.remove(&h);
             }
         }
         match to {
             HState::Active => {
                 self.active.insert(h);
                 self.stack
-                    .insert((booked_key(booked_new), h), |i| hosts.load(i));
+                    .insert((booked_key(booked_new), h), self.hosts.load(h));
                 // Re-sync the used key eagerly on (re)activation so the
                 // entry is live even if no further load change follows.
                 let key = total_key(self.hosts.cpu_used[h]);
@@ -502,31 +522,70 @@ impl Dc {
                 self.used_key[h] = key;
             }
             HState::Zombie => {
-                self.nonactive.insert(h);
-                self.zombies_by_rack[rack].insert(h);
+                self.zombies.insert(h);
+                self.zombies_by_rack[rack as usize].insert(h);
+                self.mark_pool_dirty(rack);
             }
             HState::Sleeping => {
-                self.nonactive.insert(h);
+                self.sleeping.insert(h);
             }
         }
     }
 
-    /// Snapshots every rack's free pool into [`Dc::pool_buf`] ahead of a
-    /// placement scan. Under non-pool policies the snapshot is all zeros
-    /// (never read). The scan itself does not mutate pool state, so one
-    /// snapshot serves every candidate host — this is what turns the old
-    /// O(hosts²) placement into O(active + zombies).
-    fn snapshot_pools(&mut self) {
-        let mut buf = std::mem::take(&mut self.pool_buf);
-        buf.clear();
-        let racks = self.cfg.racks;
-        if self.cfg.policy.placement.uses_remote_pool() {
-            buf.extend((0..racks).map(|r| self.pool_free(r)));
-        } else {
-            buf.resize(racks as usize, 0.0);
+    /// Marks `rack`'s cached pool stale: its zombie set, a zombie's
+    /// lending or its shared-tier allocation changed.
+    fn mark_pool_dirty(&mut self, rack: u32) {
+        let flag = &mut self.pool_dirty_flag[rack as usize];
+        if !*flag {
+            *flag = true;
+            self.pool_dirty.push(rack);
         }
-        self.pool_max = buf.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        self.pool_buf = buf;
+    }
+
+    /// Brings [`Dc::pool_buf`] and [`Dc::pool_max`] current ahead of a
+    /// placement scan: each dirty rack is re-summed from scratch by
+    /// [`Dc::pool_free`], in its own ascending order, so a cached pool is
+    /// never an incremental float aggregate; the maximum is re-folded
+    /// only when a rack changed. Under non-pool policies the buffer stays
+    /// all zeros (never read). The scan itself does not mutate pool
+    /// state, so one snapshot serves every candidate host. Under
+    /// [`Dc::validate_on`] every rack is re-summed and must match its
+    /// cached pool bit for bit.
+    fn sync_pools(&mut self) {
+        let uses_pool = self.cfg.policy.placement.uses_remote_pool();
+        if !self.pool_dirty.is_empty() {
+            let mut dirty = std::mem::take(&mut self.pool_dirty);
+            for r in dirty.drain(..) {
+                self.pool_dirty_flag[r as usize] = false;
+                if uses_pool {
+                    self.pool_buf[r as usize] = self.pool_free(r);
+                }
+            }
+            self.pool_dirty = dirty;
+            self.pool_max = self.fold_pool_max();
+        }
+        if self.validate_on && uses_pool {
+            for r in 0..self.cfg.racks {
+                assert_eq!(
+                    self.pool_buf[r as usize].to_bits(),
+                    self.pool_free(r).to_bits(),
+                    "rack {r}: cached pool drifted from its lenders"
+                );
+            }
+            assert_eq!(
+                self.pool_max.to_bits(),
+                self.fold_pool_max().to_bits(),
+                "stale pool maximum"
+            );
+        }
+    }
+
+    /// The largest cached pool, folded in rack order.
+    fn fold_pool_max(&self) -> f64 {
+        self.pool_buf
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     fn usable_mem(&self) -> f64 {
@@ -549,15 +608,21 @@ impl Dc {
             .sum()
     }
 
-    /// Free pool across every rack (reporting / demotion policy).
-    fn pool_free_total(&self) -> f64 {
-        (0..self.cfg.racks).map(|r| self.pool_free(r)).sum()
+    /// Free pool across every rack (demotion policy), summed in rack
+    /// order: from the cache under pool placements, fresh otherwise.
+    fn pool_free_total(&mut self) -> f64 {
+        if !self.cfg.policy.placement.uses_remote_pool() {
+            return (0..self.cfg.racks).map(|r| self.pool_free(r)).sum();
+        }
+        self.sync_pools();
+        self.pool_buf.iter().sum()
     }
 
     /// Carves `amount` of remote memory from one rack's pool: the shared
     /// tier's free capacity under a CXL-style backend, the rack's zombie
     /// hosts (most-free first) otherwise. Returns how much was taken.
     fn take_remote(&mut self, rack: u32, mut amount: f64) -> f64 {
+        self.mark_pool_dirty(rack);
         if !self.pools_host_memory() {
             let free = (self.cfg.cxl_capacity - self.cxl_allocated[rack as usize]).max(0.0);
             let take = free.min(amount);
@@ -597,6 +662,7 @@ impl Dc {
     /// the most-loaded zombies first, so lightly-used zombies empty out
     /// and become demotable to S3; the shared tier just decrements).
     fn give_back_remote(&mut self, rack: u32, mut amount: f64) {
+        self.mark_pool_dirty(rack);
         if !self.pools_host_memory() {
             let back = self.cxl_allocated[rack as usize].min(amount).max(0.0);
             self.cxl_allocated[rack as usize] -= back;
@@ -624,8 +690,7 @@ impl Dc {
 
     /// Whether `host` can take the task under the policy's placement
     /// rule; returns the local share it would use. `pool` is the free
-    /// remote pool of the host's rack (snapshot or fresh — the caller
-    /// owns that choice; scans pass the per-scan snapshot).
+    /// remote pool of the host's rack.
     fn fits(&self, host: usize, cpu: f64, cpu_used: f64, mem: f64, pool: f64) -> Option<f64> {
         if self.hosts.state[host] != HState::Active {
             return None;
@@ -636,13 +701,27 @@ impl Dc {
             .admit(&self.hosts.load(host), cpu, cpu_used, mem, pool)
     }
 
-    /// Whether host `i` passes `fit`: the policy's own verdict on the
-    /// host, against its rack's snapshot pool.
-    fn fit_passes(&self, fit: &Fit, i: usize) -> bool {
+    /// Whether active host `i`, whose load is `load`, passes `fit`: the
+    /// policy's own verdict on the host, against its rack's snapshot
+    /// pool. Vanilla Neat "places a VM on a server only if the latter
+    /// holds all the resources booked by the VM"; ZombieStack replaces
+    /// that with the 30 %-of-WSS rule and packs by *actual* CPU usage
+    /// (overload detection guards the overcommit), which is where most
+    /// of its extra consolidation comes from.
+    fn fit_passes(&self, fit: &Fit, i: usize, load: &HostLoad) -> bool {
         let pool = self.pool_buf[self.hosts.rack[i] as usize];
+        let policy = self.cfg.policy;
         match *fit {
-            Fit::Admit { cpu, cpu_used, mem } => self.fits(i, cpu, cpu_used, mem, pool).is_some(),
-            Fit::Migrate { ref vm, skip } => i != skip && self.consolidation_fits(i, vm, pool),
+            Fit::Admit { cpu, cpu_used, mem } => policy
+                .placement
+                .admit(load, cpu, cpu_used, mem, pool)
+                .is_some(),
+            Fit::Migrate { ref vm, skip } => {
+                i != skip
+                    && policy
+                        .consolidation
+                        .accepts_migration(load, vm, pool, self.cfg.cpu_fill_cap)
+            }
         }
     }
 
@@ -671,11 +750,12 @@ impl Dc {
     /// lowest index, as the old full scan resolved them. One pool
     /// snapshot serves the whole walk, which starts at the policy's
     /// ceiling seek ([`seek_key`]: every host before it fails the
-    /// booked ceiling) and skips each block whose best case the policy
-    /// rejects. Under [`Dc::validate_on`] the pick must equal a walk
-    /// from the first entry that judges every host.
+    /// booked ceiling), skips each block whose best case the policy
+    /// rejects and judges each host on its filed load. Under
+    /// [`Dc::validate_on`] the pick must equal a walk from the first
+    /// entry that judges every host on its live load.
     fn first_fit(&mut self, fit: Fit) -> Option<usize> {
-        self.snapshot_pools();
+        self.sync_pools();
         let policy = self.cfg.policy;
         let (from, examined, skipped) = match fit {
             Fit::Admit { cpu, .. } => (
@@ -695,14 +775,14 @@ impl Dc {
         let walk = self.stack.first_fit(
             from,
             |corner| self.corner_passes(&fit, corner),
-            |i| self.fit_passes(&fit, i),
+            |i, load| self.fit_passes(&fit, i, load),
         );
         if self.validate_on {
             let full = self
                 .stack
                 .iter()
                 .map(|(_, i)| i)
-                .find(|&i| self.fit_passes(&fit, i));
+                .find(|&i| self.fit_passes(&fit, i, &self.hosts.load(i)));
             assert_eq!(
                 walk.host, full,
                 "the seek or a block skip changed the answer to {fit:?}"
@@ -735,14 +815,22 @@ impl Dc {
     }
 
     /// Picks a host for `pick` from the index set that holds its
-    /// candidates. Under [`Dc::validate_on`] the pick must equal the
-    /// naive walk over the whole fleet.
+    /// candidates: the zombies for the zombie picks, the lower of the
+    /// first zombie and the first sleeper for `Sleeping`. Under
+    /// [`Dc::validate_on`] the pick must equal the naive walk over the
+    /// whole fleet.
     fn pick(&self, pick: Pick) -> Option<usize> {
-        let set = match pick {
-            Pick::LeastUsed => &self.active,
-            Pick::WakeZombie | Pick::Sleeping | Pick::IdleZombie => &self.nonactive,
+        let host = match pick {
+            Pick::LeastUsed => self.pick_among(pick, self.active.iter().copied()),
+            Pick::WakeZombie | Pick::IdleZombie => {
+                self.pick_among(pick, self.zombies.iter().copied())
+            }
+            Pick::Sleeping => [self.zombies.first(), self.sleeping.first()]
+                .into_iter()
+                .flatten()
+                .min()
+                .copied(),
         };
-        let host = self.pick_among(pick, set.iter().copied());
         if self.validate_on {
             assert_eq!(
                 host,
@@ -880,7 +968,10 @@ impl Dc {
                 }
             }
         };
-        let pool = self.pool_free(self.hosts.rack[host]);
+        // The scans left the pool cache current; this re-judges the host
+        // with the pool its scan saw.
+        self.sync_pools();
+        let pool = self.pool_buf[self.hosts.rack[host] as usize];
         let local = match self.fits(host, cpu, t.cpu_used, mem, pool) {
             Some(l) => l,
             None => {
@@ -988,9 +1079,14 @@ impl Dc {
                 );
             }
             assert_eq!(
-                self.nonactive.contains(&i),
-                state != HState::Active,
-                "host {i}: nonactive-set membership disagrees with {state:?}"
+                self.zombies.contains(&i),
+                state == HState::Zombie,
+                "host {i}: zombie-set membership disagrees with {state:?}"
+            );
+            assert_eq!(
+                self.sleeping.contains(&i),
+                state == HState::Sleeping,
+                "host {i}: sleeping-set membership disagrees with {state:?}"
             );
             assert_eq!(
                 self.zombies_by_rack[rack as usize].contains(&i),
@@ -1335,24 +1431,6 @@ impl Dc {
         self.index_remote(m.task, retaken, source_rack);
     }
 
-    /// The migration feasibility check, judged by the policy. Vanilla
-    /// Neat "places a VM on a server only if the latter holds all the
-    /// resources booked by the VM"; ZombieStack replaces that with the
-    /// 30 %-of-WSS rule and packs by *actual* CPU usage (overload
-    /// detection guards the overcommit), which is where most of its
-    /// extra consolidation comes from.
-    fn consolidation_fits(&self, target: usize, vm: &MigrantVm, pool: f64) -> bool {
-        if self.hosts.state[target] != HState::Active {
-            return false;
-        }
-        self.cfg.policy.consolidation.accepts_migration(
-            &self.hosts.load(target),
-            vm,
-            pool,
-            self.cfg.cpu_fill_cap,
-        )
-    }
-
     /// Oasis: park the cold memory of idle VMs on underused hosts.
     fn oasis_park(&mut self, trace: &ClusterTrace) {
         for host in 0..self.hosts.len() {
@@ -1394,7 +1472,43 @@ impl Dc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zombieland_simcore::DetRng;
+    use crate::PolicyKind;
+    use zombieland_energy::MachineProfile;
+    use zombieland_simcore::{DetRng, SimDuration};
+    use zombieland_trace::TraceConfig;
+
+    /// The wake and demotion picks read the split pick sets: `Sleeping`
+    /// takes the lowest non-active host, zombie or sleeper, and the
+    /// zombie picks see only zombies.
+    #[test]
+    fn picks_read_the_split_sets() {
+        let mut trace = TraceConfig::small(7);
+        trace.servers = 8;
+        trace.duration = SimDuration::from_hours(1);
+        let cfg = SimConfig::new(PolicyKind::ZombieStack, MachineProfile::hp());
+        let mut dc = Dc::new(&ClusterTrace::generate(trace), &cfg);
+        assert_eq!(dc.pick(Pick::Sleeping), None);
+        for (h, state) in [
+            (5, HState::Sleeping),
+            (3, HState::Zombie),
+            (6, HState::Zombie),
+        ] {
+            dc.update_host(h, |m| *m.state = state);
+        }
+        // A zombie below the first sleeper is the first non-active host.
+        assert_eq!(dc.pick(Pick::Sleeping), Some(3));
+        assert_eq!(dc.pick(Pick::WakeZombie), Some(3));
+        assert_eq!(dc.pick(Pick::IdleZombie), Some(3));
+        // Lending takes host 3 out of both zombie picks' first place.
+        dc.hosts.remote_allocated[3] = 0.5;
+        assert_eq!(dc.pick(Pick::WakeZombie), Some(6));
+        assert_eq!(dc.pick(Pick::IdleZombie), Some(6));
+        dc.update_host(1, |m| *m.state = HState::Sleeping);
+        assert_eq!(dc.pick(Pick::Sleeping), Some(1));
+        dc.update_host(6, |m| *m.state = HState::Active);
+        assert_eq!(dc.pick(Pick::IdleZombie), None);
+        assert_eq!(dc.pick(Pick::WakeZombie), Some(3));
+    }
 
     /// The seek's soundness: a host the walk skips (its key sorts before
     /// the seek key) fails `booked + cpu > ceiling + 1e-9`, for random

@@ -11,9 +11,13 @@
 //! host in it, and [`StackOrder::first_fit`] skips the whole block.
 //! Hosts in the blocks that pass are judged one by one, as before.
 //!
-//! Summaries are never patched incrementally: every edit recomputes the
-//! touched block from its hosts' live values (O([`B`])), so a summary is
-//! always bit-equal to a fresh recompute — which `Dc::validate` checks.
+//! Each entry carries a copy of its host's [`HostLoad`], filed when the
+//! entry is inserted or refreshed, so an edit, a summary and a walk read
+//! only the block they touch. Summaries are never patched incrementally:
+//! every edit recomputes the touched block from those copies
+//! (O([`B`])), so a summary is always bit-equal to a fresh recompute, and
+//! every copy bit-equal to its host's live load — which `Dc::validate`
+//! checks.
 
 use crate::policy::HostLoad;
 
@@ -45,36 +49,44 @@ fn key_booked(k: u64) -> f64 {
     f64::from_bits(if t >> 63 == 1 { t & !(1 << 63) } else { !t })
 }
 
+/// One filed host: its stacking-order key and the [`HostLoad`] it was
+/// filed or last refreshed with, so a walk or a summary reads no host
+/// table.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    key: (u64, usize),
+    load: HostLoad,
+}
+
 /// One sorted run of entries and its best-case summary.
 #[derive(Clone, Debug)]
 struct Block {
-    entries: Vec<(u64, usize)>,
+    entries: Vec<Entry>,
     /// Least `cpu_used` among the block's hosts.
     min_used: f64,
     /// Most `free_local` among the block's hosts.
     max_free: f64,
 }
 
-/// The least `cpu_used` and the most `free_local` of the hosts of
-/// `entries`, from their live loads in entry order (the first of equal
-/// values wins, so the bits are reproducible).
-fn summary(entries: &[(u64, usize)], load: impl Fn(usize) -> HostLoad) -> (f64, f64) {
+/// The least `cpu_used` and the most `free_local` of `entries`' loads,
+/// in entry order (the first of equal values wins, so the bits are
+/// reproducible).
+fn summary(entries: &[Entry]) -> (f64, f64) {
     let (mut min_used, mut max_free) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &(_, i) in entries {
-        let l = load(i);
-        if l.cpu_used < min_used {
-            min_used = l.cpu_used;
+    for e in entries {
+        if e.load.cpu_used < min_used {
+            min_used = e.load.cpu_used;
         }
-        if l.free_local > max_free {
-            max_free = l.free_local;
+        if e.load.free_local > max_free {
+            max_free = e.load.free_local;
         }
     }
     (min_used, max_free)
 }
 
 impl Block {
-    fn new(entries: Vec<(u64, usize)>, load: impl Fn(usize) -> HostLoad) -> Block {
-        let (min_used, max_free) = summary(&entries, load);
+    fn new(entries: Vec<Entry>) -> Block {
+        let (min_used, max_free) = summary(&entries);
         Block {
             entries,
             min_used,
@@ -82,12 +94,17 @@ impl Block {
         }
     }
 
-    fn summarize(&mut self, load: impl Fn(usize) -> HostLoad) {
-        (self.min_used, self.max_free) = summary(&self.entries, load);
+    fn summarize(&mut self) {
+        (self.min_used, self.max_free) = summary(&self.entries);
     }
 
     fn last(&self) -> (u64, usize) {
-        self.entries[self.entries.len() - 1]
+        self.entries[self.entries.len() - 1].key
+    }
+
+    /// Where `e` is, or where it belongs, among the block's entries.
+    fn search(&self, e: (u64, usize)) -> Result<usize, usize> {
+        self.entries.binary_search_by(|x| x.key.cmp(&e))
     }
 
     /// The best case of any host in the block (see the module docs).
@@ -112,11 +129,15 @@ pub(crate) struct FirstFit {
 }
 
 /// A sorted set of `(booked_key, host)` entries in blocks of at most
-/// `2 * B`, none empty. `load` arguments give a host's live
-/// [`HostLoad`]; the summaries read its `cpu_used` and `free_local`.
+/// `2 * B`, none empty. Each entry carries its host's [`HostLoad`]: the
+/// caller passes it on `insert` and passes the new one to `refresh`
+/// whenever the host's usage or free memory changes.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct StackOrder {
     blocks: Vec<Block>,
+    /// The last key of each block, beside `blocks` so `block_for`'s
+    /// binary search reads one flat array.
+    lasts: Vec<(u64, usize)>,
 }
 
 impl StackOrder {
@@ -127,13 +148,13 @@ impl StackOrder {
     /// The block holding `e`, or the one it belongs in: the first whose
     /// last entry is `>= e` (`blocks.len()` when `e` sorts after all).
     fn block_for(&self, e: (u64, usize)) -> usize {
-        self.blocks.partition_point(|b| b.last() < e)
+        self.lasts.partition_point(|&last| last < e)
     }
 
     /// The block index and position of `e`, if present.
     fn find(&self, e: (u64, usize)) -> Option<(usize, usize)> {
         let b = self.block_for(e);
-        let at = self.blocks.get(b)?.entries.binary_search(&e).ok()?;
+        let at = self.blocks.get(b)?.search(e).ok()?;
         Some((b, at))
     }
 
@@ -143,66 +164,79 @@ impl StackOrder {
 
     /// Every entry in order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
-        self.blocks.iter().flat_map(|b| b.entries.iter().copied())
+        self.blocks
+            .iter()
+            .flat_map(|b| b.entries.iter().map(|x| x.key))
     }
 
-    /// Adds `e`, splitting its block past `2 * B` entries. Returns
-    /// `false` (and changes nothing) if `e` is already present.
-    pub(crate) fn insert(&mut self, e: (u64, usize), load: impl Fn(usize) -> HostLoad) -> bool {
+    /// Adds `e` with its host's `load`, splitting its block past `2 * B`
+    /// entries. Returns `false` (and changes nothing) if `e` is already
+    /// present.
+    pub(crate) fn insert(&mut self, e: (u64, usize), load: HostLoad) -> bool {
         let b = self.block_for(e).min(self.blocks.len().saturating_sub(1));
+        let entry = Entry { key: e, load };
         let Some(block) = self.blocks.get_mut(b) else {
-            self.blocks.push(Block::new(vec![e], load));
+            self.blocks.push(Block::new(vec![entry]));
+            self.lasts.push(e);
             return true;
         };
-        let Err(at) = block.entries.binary_search(&e) else {
+        let Err(at) = block.search(e) else {
             return false;
         };
-        block.entries.insert(at, e);
+        block.entries.insert(at, entry);
         if block.entries.len() > 2 * B {
-            let tail = block.entries.split_off(B);
-            let split = Block::new(tail, &load);
+            let split = Block::new(block.entries.split_off(B));
+            self.lasts.insert(b + 1, split.last());
             self.blocks.insert(b + 1, split);
         }
-        self.blocks[b].summarize(load);
+        let block = &mut self.blocks[b];
+        block.summarize();
+        self.lasts[b] = block.last();
         true
     }
 
     /// Removes `e`, dropping its block if it empties. Returns whether
     /// `e` was present.
-    pub(crate) fn remove(&mut self, e: (u64, usize), load: impl Fn(usize) -> HostLoad) -> bool {
+    pub(crate) fn remove(&mut self, e: (u64, usize)) -> bool {
         let Some((b, at)) = self.find(e) else {
             return false;
         };
-        self.blocks[b].entries.remove(at);
-        if self.blocks[b].entries.is_empty() {
+        let block = &mut self.blocks[b];
+        block.entries.remove(at);
+        if block.entries.is_empty() {
             self.blocks.remove(b);
+            self.lasts.remove(b);
         } else {
-            self.blocks[b].summarize(load);
+            block.summarize();
+            self.lasts[b] = block.last();
         }
         true
     }
 
-    /// Recomputes the summary of `e`'s block after the host's
-    /// `cpu_used` or free memory changed (its booking did not: that
-    /// moves the entry, through `remove` and `insert`).
-    pub(crate) fn refresh(&mut self, e: (u64, usize), load: impl Fn(usize) -> HostLoad) {
+    /// Files `load` as `e`'s host's load and recomputes its block's
+    /// summary, after the host's `cpu_used` or free memory changed (its
+    /// booking did not: that moves the entry, through `remove` and
+    /// `insert`).
+    pub(crate) fn refresh(&mut self, e: (u64, usize), load: HostLoad) {
         let found = self.find(e);
         debug_assert!(found.is_some(), "refreshing an entry that is not indexed");
-        if let Some((b, _)) = found {
-            self.blocks[b].summarize(load);
+        if let Some((b, at)) = found {
+            let block = &mut self.blocks[b];
+            block.entries[at].load = load;
+            block.summarize();
         }
     }
 
-    /// The first entry at or after key `from` that passes `fits`, the
-    /// hosts the walk judged, and the blocks it skipped because
-    /// `corner_ok` rejected their best case. `corner_ok` must be
-    /// monotone (see the module docs): the skip is then exactly a walk
-    /// that judged every entry from `from` on.
+    /// The first entry at or after key `from` that passes `fits` (given
+    /// the host and its filed load), the hosts the walk judged, and the
+    /// blocks it skipped because `corner_ok` rejected their best case.
+    /// `corner_ok` must be monotone (see the module docs): the skip is
+    /// then exactly a walk that judged every entry from `from` on.
     pub(crate) fn first_fit(
         &self,
         from: u64,
         mut corner_ok: impl FnMut(&HostLoad) -> bool,
-        mut fits: impl FnMut(usize) -> bool,
+        mut fits: impl FnMut(usize, &HostLoad) -> bool,
     ) -> FirstFit {
         let start = (from, 0);
         let first = self.block_for(start);
@@ -213,14 +247,14 @@ impl StackOrder {
                 continue;
             }
             let skip = if n == 0 {
-                block.entries.partition_point(|&e| e < start)
+                block.entries.partition_point(|x| x.key < start)
             } else {
                 0
             };
-            for &(_, i) in &block.entries[skip..] {
+            for e in &block.entries[skip..] {
                 hit.examined += 1;
-                if fits(i) {
-                    hit.host = Some(i);
+                if fits(e.key.1, &e.load) {
+                    hit.host = Some(e.key.1);
                     return hit;
                 }
             }
@@ -229,9 +263,23 @@ impl StackOrder {
     }
 
     /// Asserts the structure: blocks non-empty and at most `2 * B`
-    /// long, entries strictly ascending across blocks, and every summary
+    /// long, each block's last key filed in `lasts`, entries strictly
+    /// ascending across blocks, every filed load bit-equal to its host's
+    /// live `load` (and its booking to its key), and every summary
     /// bit-equal to a fresh recompute.
     pub(crate) fn check(&self, load: impl Fn(usize) -> HostLoad) {
+        let bits = |l: &HostLoad| {
+            (
+                l.cpu_booked.to_bits(),
+                l.cpu_used.to_bits(),
+                l.free_local.to_bits(),
+            )
+        };
+        assert_eq!(
+            self.lasts.len(),
+            self.blocks.len(),
+            "one last key per block"
+        );
         let mut prev = None;
         for (b, block) in self.blocks.iter().enumerate() {
             let size = block.entries.len();
@@ -239,11 +287,19 @@ impl StackOrder {
                 (1..=2 * B).contains(&size),
                 "block {b} holds {size} entries"
             );
-            for &e in &block.entries {
-                assert!(prev < Some(e), "block {b}: {e:?} out of order");
-                prev = Some(e);
+            assert_eq!(self.lasts[b], block.last(), "block {b}: stale last key");
+            for e in &block.entries {
+                assert!(prev < Some(e.key), "block {b}: {:?} out of order", e.key);
+                prev = Some(e.key);
+                let (key, host) = e.key;
+                assert_eq!(
+                    bits(&e.load),
+                    bits(&load(host)),
+                    "block {b}: host {host}'s filed load drifted from its live load"
+                );
+                assert_eq!(key, booked_key(e.load.cpu_booked), "host {host}: key");
             }
-            let (min_used, max_free) = summary(&block.entries, &load);
+            let (min_used, max_free) = summary(&block.entries);
             assert_eq!(
                 (block.min_used.to_bits(), block.max_free.to_bits()),
                 (min_used.to_bits(), max_free.to_bits()),
@@ -308,7 +364,8 @@ mod tests {
 
     /// Random inserts, removes, re-bookings and load refreshes against a
     /// `BTreeSet` model; the fleet is large enough to split blocks and
-    /// removals drain it often enough to empty them.
+    /// removals drain it often enough to empty them. After every op
+    /// `check` compares each filed load with the model's live one.
     #[test]
     fn matches_a_btreeset_model() {
         let mut rng = DetRng::new(0x57ac);
@@ -330,26 +387,20 @@ mod tests {
                 let blocks = order.blocks.len();
                 let op = rng.below(6);
                 if op < inserts {
-                    assert_eq!(
-                        order.insert(m.key(i), |j| m.load(j)),
-                        m.set.insert(m.key(i))
-                    );
+                    assert_eq!(order.insert(m.key(i), m.load(i)), m.set.insert(m.key(i)));
                 } else if op < 4 {
-                    assert_eq!(
-                        order.remove(m.key(i), |j| m.load(j)),
-                        m.set.remove(&m.key(i))
-                    );
+                    assert_eq!(order.remove(m.key(i)), m.set.remove(&m.key(i)));
                 } else if op == 4 && m.set.remove(&m.key(i)) {
                     // A booking change moves the entry.
-                    assert!(order.remove(m.key(i), |j| m.load(j)));
+                    assert!(order.remove(m.key(i)));
                     m.booked[i] = booking(&mut rng);
-                    assert!(order.insert(m.key(i), |j| m.load(j)));
+                    assert!(order.insert(m.key(i), m.load(i)));
                     m.set.insert(m.key(i));
                 } else {
                     m.used[i] = rng.range_f64(0.0, 1.0);
                     m.free[i] = [0.0, -0.0, rng.range_f64(0.0, 1.0)][rng.below(3) as usize];
                     if m.set.contains(&m.key(i)) {
-                        order.refresh(m.key(i), |j| m.load(j));
+                        order.refresh(m.key(i), m.load(i));
                     }
                 }
                 splits += usize::from(order.blocks.len() > blocks);
@@ -359,7 +410,7 @@ mod tests {
             // Drain the rest, emptying every block.
             for i in 0..n {
                 if m.set.remove(&m.key(i)) {
-                    assert!(order.remove(m.key(i), |j| m.load(j)));
+                    assert!(order.remove(m.key(i)));
                 }
             }
             assert_matches(&order, &m);
@@ -369,6 +420,25 @@ mod tests {
             splits > 100 && drops > 30,
             "blocks split {splits}, dropped {drops}"
         );
+    }
+
+    /// A load change the order was not told about is caught by `check`.
+    #[test]
+    #[should_panic(expected = "filed load drifted")]
+    fn check_catches_an_unrefreshed_load() {
+        let mut m = Model {
+            booked: vec![0.5, 0.25],
+            used: vec![0.1, 0.2],
+            free: vec![0.3, 0.4],
+            set: BTreeSet::new(),
+        };
+        let mut order = StackOrder::default();
+        for i in 0..2 {
+            order.insert(m.key(i), m.load(i));
+        }
+        order.check(|i| m.load(i));
+        m.used[1] = 0.3;
+        order.check(|i| m.load(i));
     }
 
     /// `first_fit` equals a naive filtered range walk over the model,
@@ -390,7 +460,7 @@ mod tests {
             for i in 0..n {
                 if rng.chance(0.8) {
                     m.set.insert(m.key(i));
-                    order.insert(m.key(i), |j| m.load(j));
+                    order.insert(m.key(i), m.load(i));
                 }
             }
             for _ in 0..20 {
@@ -403,7 +473,11 @@ mod tests {
                 let ok = |l: &HostLoad| {
                     l.cpu_booked <= max_booked && l.cpu_used <= max_used && l.free_local >= min_free
                 };
-                let hit = order.first_fit(from, ok, |i| ok(&m.load(i)));
+                // `fits` judges the filed load, which must be the host's.
+                let hit = order.first_fit(from, ok, |i, l| {
+                    assert_eq!(l.cpu_used.to_bits(), m.used[i].to_bits());
+                    ok(l)
+                });
                 let naive = m.set.range((from, 0)..).find(|&&(_, i)| ok(&m.load(i)));
                 assert_eq!(hit.host, naive.map(|&(_, i)| i));
                 let walked = m.set.range((from, 0)..).count() as u64;

@@ -84,10 +84,11 @@ if ./target/release/zombieland-cli --scenario /nonexistent.toml \
 fi
 
 echo "==> scan cross-check smoke (release runs re-take every decision pick without the indexes)"
-# ZL_VALIDATE=1 arms the invariant sweep (block summaries bit-equal to
-# their hosts), the cross-check of every seeking, block-skipping
-# admission/migration walk against an unskipped walk from the first
-# entry, and of every wake, overcommit and demotion pick against a
+# ZL_VALIDATE=1 arms the invariant sweep (block summaries and filed
+# loads bit-equal to their hosts), the cross-check of every seeking,
+# block-skipping admission/migration walk against an unskipped walk from
+# the first entry on live loads, of every cached rack pool against a
+# fresh sum, and of every wake, overcommit and demotion pick against a
 # naive walk over the fleet; a mismatch panics.
 for policy in neat oasis zombiestack; do
     ZL_VALIDATE=1 ZL_RACKS=6 ./target/release/zombieland-cli simulate \
@@ -95,6 +96,11 @@ for policy in neat oasis zombiestack; do
 done
 ZL_VALIDATE=1 ZL_RACKS=6 ZL_BACKEND=cxl ./target/release/zombieland-cli simulate \
     --servers 120 --days 1 --policy zombiestack > /dev/null
+# Per-host capacities flow through the filed stacking-order loads and the
+# cached rack pools under the same checks.
+ZL_VALIDATE=1 ./target/release/zombieland-cli simulate \
+    --scenario scenarios/hetero.toml --servers 120 --days 1 \
+    --policy zombiestack > /dev/null
 
 echo "==> streaming-memory guard (the paper-scale bench bounds the resident event queue)"
 zl_tmp ZL_PAPER /tmp/zl-paper.XXXXXX.json
