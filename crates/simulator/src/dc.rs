@@ -284,15 +284,16 @@ pub(crate) struct Dc {
     evac_buf: Vec<usize>,
     /// Free pool per rack, as [`Dc::pool_free`] sums it: current for
     /// every rack not in [`Dc::pool_dirty`], and for all of them after
-    /// [`Dc::sync_pools`], which each placement scan starts with. All
-    /// zeros (never re-summed) under placements without a remote pool.
+    /// [`Dc::sync_pools`], which each placement scan starts with.
     pool_buf: Vec<f64>,
     /// The largest entry of [`Dc::pool_buf`]: the pool a block's
     /// best-case corner is judged with.
     pool_max: f64,
     /// Racks whose zombie set, zombie lending or shared-tier allocation
     /// changed since the last [`Dc::sync_pools`] (deduplicated by
-    /// [`Dc::pool_dirty_flag`]).
+    /// [`Dc::pool_dirty_flag`]). A list rather than a pass over every
+    /// rack's flag: at the paper's 315 racks a sync usually finds one
+    /// or two racks dirty, and the pass measured slower.
     pool_dirty: Vec<u32>,
     /// Membership flags for [`Dc::pool_dirty`].
     pool_dirty_flag: Vec<bool>,
@@ -402,8 +403,9 @@ impl Dc {
             evac_buf: Vec::new(),
             pool_buf: vec![0.0; cfg.racks as usize],
             pool_max: 0.0,
-            pool_dirty: Vec::new(),
-            pool_dirty_flag: vec![false; cfg.racks as usize],
+            // Every rack is summed at the first snapshot.
+            pool_dirty: (0..cfg.racks).collect(),
+            pool_dirty_flag: vec![true; cfg.racks as usize],
             shed_buf: Vec::new(),
             validate_on: validate_enabled(),
             cfg: cfg.clone(),
@@ -413,13 +415,6 @@ impl Dc {
         // the host table exists.
         for i in 0..n {
             dc.stack.insert((booked_key(0.0), i), dc.hosts.load(i));
-        }
-        // Pool placements sum every rack's pool at the first scan; the
-        // others keep the zero buffer.
-        if cfg.policy.placement.uses_remote_pool() {
-            for r in 0..cfg.racks {
-                dc.mark_pool_dirty(r);
-            }
         }
         // Initial fleet power: everything on and idle. An empty fleet
         // has no host 0 to sample (and draws nothing). The uniform-fleet
@@ -546,25 +541,21 @@ impl Dc {
     /// placement scan: each dirty rack is re-summed from scratch by
     /// [`Dc::pool_free`], in its own ascending order, so a cached pool is
     /// never an incremental float aggregate; the maximum is re-folded
-    /// only when a rack changed. Under non-pool policies the buffer stays
-    /// all zeros (never read). The scan itself does not mutate pool
+    /// only when a rack changed. The scan itself does not mutate pool
     /// state, so one snapshot serves every candidate host. Under
     /// [`Dc::validate_on`] every rack is re-summed and must match its
     /// cached pool bit for bit.
     fn sync_pools(&mut self) {
-        let uses_pool = self.cfg.policy.placement.uses_remote_pool();
         if !self.pool_dirty.is_empty() {
             let mut dirty = std::mem::take(&mut self.pool_dirty);
             for r in dirty.drain(..) {
                 self.pool_dirty_flag[r as usize] = false;
-                if uses_pool {
-                    self.pool_buf[r as usize] = self.pool_free(r);
-                }
+                self.pool_buf[r as usize] = self.pool_free(r);
             }
             self.pool_dirty = dirty;
             self.pool_max = self.fold_pool_max();
         }
-        if self.validate_on && uses_pool {
+        if self.validate_on {
             for r in 0..self.cfg.racks {
                 assert_eq!(
                     self.pool_buf[r as usize].to_bits(),
@@ -609,11 +600,8 @@ impl Dc {
     }
 
     /// Free pool across every rack (demotion policy), summed in rack
-    /// order: from the cache under pool placements, fresh otherwise.
+    /// order from the synced cache.
     fn pool_free_total(&mut self) -> f64 {
-        if !self.cfg.policy.placement.uses_remote_pool() {
-            return (0..self.cfg.racks).map(|r| self.pool_free(r)).sum();
-        }
         self.sync_pools();
         self.pool_buf.iter().sum()
     }
@@ -968,8 +956,8 @@ impl Dc {
                 }
             }
         };
-        // The scans left the pool cache current; this re-judges the host
-        // with the pool its scan saw.
+        // Synced here, so the host's pool equals a fresh `pool_free` of
+        // its rack, whichever path above chose the host.
         self.sync_pools();
         let pool = self.pool_buf[self.hosts.rack[host] as usize];
         let local = match self.fits(host, cpu, t.cpu_used, mem, pool) {
@@ -1501,6 +1489,7 @@ mod tests {
         assert_eq!(dc.pick(Pick::IdleZombie), Some(3));
         // Lending takes host 3 out of both zombie picks' first place.
         dc.hosts.remote_allocated[3] = 0.5;
+        dc.mark_pool_dirty(dc.hosts.rack[3]);
         assert_eq!(dc.pick(Pick::WakeZombie), Some(6));
         assert_eq!(dc.pick(Pick::IdleZombie), Some(6));
         dc.update_host(1, |m| *m.state = HState::Sleeping);

@@ -69,8 +69,9 @@ pub trait PlacementPolicy: Send + Sync + fmt::Debug {
     /// checks every registered policy.
     fn admit(&self, host: &HostLoad, cpu: f64, cpu_used: f64, mem: f64, pool: f64) -> Option<f64>;
 
-    /// Whether placement consumes the rack-local remote pool (drives the
-    /// per-scan pool snapshot; policies without remote memory skip it).
+    /// Whether placement consumes the rack-local remote pool (whether
+    /// `admit` reads its `pool` argument). Descriptive only: the
+    /// simulator keeps every rack's pool current under any placement.
     fn uses_remote_pool(&self) -> bool {
         false
     }
