@@ -535,7 +535,7 @@ pub fn generate_fig10_trace(servers: u32, days: u64, seed: u64) -> ClusterTrace 
 /// cell — and every pass of a bench scaling curve — wants the *same*
 /// trace, so all callers of one `(servers, days, seed)` triple share a
 /// single immutable `Arc`'d instance (whose sorted event list is itself
-/// built once, see [`ClusterTrace::events`]). Generation is a pure
+/// built once, see [`ClusterTrace::event_order`]). Generation is a pure
 /// function of the key, so sharing is invisible in the reports —
 /// `tests/input_caching.rs` holds that door shut.
 pub fn fig10_trace(servers: u32, days: u64, seed: u64) -> Arc<ClusterTrace> {

@@ -2,22 +2,20 @@
 //!
 //! The paper builds its prototype on OpenStack: Nova does placement,
 //! OpenStack Neat does consolidation, and a modified migration protocol
-//! moves VMs whose memory is partly remote. This crate implements those
-//! policies — plus the Oasis baseline the evaluation compares against —
-//! in two forms:
+//! moves VMs whose memory is partly remote. This crate holds:
 //!
-//! - **Pure policy logic** over abstract host/VM views
-//!   ([`placement`], [`consolidation`], [`oasis`], [`migration`]), which
-//!   the datacenter-scale simulator drives for Fig. 10;
-//! - **A live binding** ([`stack`]) that runs the same decisions against
-//!   a real [`zombieland_core::Rack`], used by the examples and
-//!   integration tests to exercise the whole stack end to end.
+//! - **The §5 rule set** ([`policy`]): the placement and consolidation
+//!   traits, the paper's policies (ZombieStack plus the AlwaysOn, Neat
+//!   and Oasis baselines) and the registry that names them. It is the
+//!   only copy of the rules; the datacenter-scale simulator judges hosts
+//!   through it for Fig. 10, and so does the live binding;
+//! - **A live binding** ([`stack`]) that runs the ZombieStack policy
+//!   against a real [`zombieland_core::Rack`], used by the integration
+//!   tests to exercise the whole stack end to end;
+//! - the migration timing models ([`migration`], Fig. 9) and the Oasis
+//!   memory-server constants ([`oasis`]).
 
-pub mod consolidation;
 pub mod migration;
 pub mod oasis;
-pub mod placement;
+pub mod policy;
 pub mod stack;
-
-pub use consolidation::{ConsolidationMode, Neat};
-pub use placement::{HostPowerState, HostView, NovaScheduler, VmView};

@@ -6,97 +6,31 @@
 //! parked on a dedicated low-power **memory server** (consuming "about
 //! 40 % of a regular server's total energy consumption, as stated in the
 //! original paper"), and the emptied source suspends. The comparison in
-//! Fig. 10 pits this against plain Neat and against ZombieStack.
+//! Fig. 10 pits this against plain Neat and against ZombieStack. Oasis
+//! evacuates underused hosts under the registry's shared underload
+//! threshold ([`crate::policy::ConsolidationPolicy::underload_threshold`]).
 
-use crate::placement::{HostPowerState, HostView, VmView};
+/// CPU utilization below which a VM counts as idle (paper: 1 %).
+pub const IDLE_VM_THRESHOLD: f64 = 0.01;
 
-/// Oasis policy parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct OasisConfig {
-    /// CPU utilization below which a host is underused (paper: 20 %).
-    pub underload_threshold: f64,
-    /// CPU utilization below which a VM counts as idle (paper: 1 %).
-    pub idle_vm_threshold: f64,
-    /// Power of a memory server relative to a regular server (paper:
-    /// 40 %).
-    pub memory_server_fraction: f64,
-}
+/// Power of a memory server relative to a regular server (paper: 40 %).
+const MEMORY_SERVER_FRACTION: f64 = 0.40;
 
-impl Default for OasisConfig {
-    fn default() -> Self {
-        OasisConfig {
-            underload_threshold: 0.20,
-            idle_vm_threshold: 0.01,
-            memory_server_fraction: 0.40,
-        }
-    }
-}
-
-impl OasisConfig {
-    /// Whether a VM qualifies as idle.
-    pub fn is_idle(&self, vm: &VmView) -> bool {
-        vm.cpu_used < self.idle_vm_threshold
-    }
-
-    /// Whether a host qualifies as underused.
-    pub fn is_underused(&self, host: &HostView) -> bool {
-        host.state == HostPowerState::Active
-            && host.cpu_used < self.underload_threshold * host.cpu_capacity
-    }
-
-    /// Memory parked on memory servers when `vm` is partially migrated:
-    /// everything beyond the working set that moves with it.
-    pub fn parked_memory(&self, vm: &VmView) -> f64 {
-        (vm.mem_booked - vm.mem_used).max(0.0)
-    }
-
-    /// How many memory servers (in regular-server units of capacity 1.0)
-    /// a total of `parked` parked memory needs.
-    pub fn memory_servers_for(&self, parked: f64) -> u32 {
-        parked.ceil() as u32
-    }
-
-    /// Power drawn by the memory servers holding `parked` memory, in
-    /// units of one regular server's maximum power.
-    pub fn memory_server_power(&self, parked: f64) -> f64 {
-        self.memory_servers_for(parked) as f64 * self.memory_server_fraction
-    }
+/// Power drawn by the memory servers holding `parked` memory, in units
+/// of one regular server's maximum power: one memory server (of capacity
+/// 1.0) per started unit of parked memory.
+pub fn memory_server_power(parked: f64) -> f64 {
+    parked.ceil() as u32 as f64 * MEMORY_SERVER_FRACTION
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn vm(cpu_used: f64, booked: f64, used: f64) -> VmView {
-        VmView {
-            id: 0,
-            cpu_booked: 0.25,
-            mem_booked: booked,
-            cpu_used,
-            mem_used: used,
-        }
-    }
-
-    #[test]
-    fn idle_detection() {
-        let cfg = OasisConfig::default();
-        assert!(cfg.is_idle(&vm(0.005, 0.5, 0.1)));
-        assert!(!cfg.is_idle(&vm(0.05, 0.5, 0.1)));
-    }
-
-    #[test]
-    fn parked_memory_excludes_working_set() {
-        let cfg = OasisConfig::default();
-        assert!((cfg.parked_memory(&vm(0.0, 0.5, 0.1)) - 0.4).abs() < 1e-12);
-        assert_eq!(cfg.parked_memory(&vm(0.0, 0.1, 0.2)), 0.0);
-    }
-
     #[test]
     fn memory_servers_cost_forty_percent() {
-        let cfg = OasisConfig::default();
-        assert_eq!(cfg.memory_servers_for(0.0), 0);
-        assert_eq!(cfg.memory_servers_for(0.3), 1);
-        assert_eq!(cfg.memory_servers_for(2.4), 3);
-        assert!((cfg.memory_server_power(2.4) - 1.2).abs() < 1e-12);
+        assert_eq!(memory_server_power(0.0), 0.0);
+        assert_eq!(memory_server_power(0.3), MEMORY_SERVER_FRACTION);
+        assert!((memory_server_power(2.4) - 1.2).abs() < 1e-12, "3 servers");
     }
 }

@@ -1,8 +1,11 @@
-//! Policy extension points and the static registry.
+//! The §5 rule set: policy extension points and the static registry.
 //!
-//! The simulator's mechanics (host accounting, the remote pool, the
-//! two-phase evacuation protocol) live in [`crate::dc`]; everything a
-//! *policy* decides goes through two trait objects:
+//! Both drivers of the paper's policies decide through this module: the
+//! datacenter simulator (`zombieland-simulator`, whose `dc` module holds
+//! the mechanics: host accounting, the remote pool, the two-phase
+//! evacuation protocol) and the live rack binding
+//! [`crate::stack::ZombieStack`]. Everything a *policy* decides goes
+//! through two trait objects:
 //!
 //! - [`PlacementPolicy`] — can an active host admit an arriving VM, and
 //!   which host to wake when none can.
@@ -10,11 +13,10 @@
 //!   the underload threshold, the migration feasibility rule, what an
 //!   emptied host becomes (S3 or Sz) and whether idle zombies demote.
 //!
-//! Implementations delegate their parameters to the existing
-//! `zombieland_cloud` types ([`NovaScheduler`], [`Neat`]) but keep the
-//! simulator's exact admission arithmetic — same epsilons, same
-//! evaluation order — because the refactor contract is bit-for-bit
-//! identical reports (see `tests/policy_conformance.rs` and
+//! Each §5 threshold is one named constant below, beside the rules that
+//! read it. The rules keep the simulator's exact admission arithmetic —
+//! same epsilons, same evaluation order — because its reports are pinned
+//! bit for bit (see `tests/policy_conformance.rs` and
 //! `tests/golden_report.rs`).
 //!
 //! Policies register in [`REGISTRY`] under a CLI key; [`lookup`]
@@ -24,11 +26,9 @@
 
 use core::fmt;
 
-use zombieland_cloud::consolidation::{ConsolidationMode, Neat};
-use zombieland_cloud::placement::NovaScheduler;
-
-/// A candidate host's load, precomputed by the simulator for admission
-/// checks. Capacities are normalized to "one server" = 1.0 on both axes.
+/// A candidate host's load, precomputed by the driver (the simulator or
+/// the live binding) for admission checks. Capacities are normalized to
+/// "one server" = 1.0 on both axes.
 #[derive(Clone, Copy, Debug)]
 pub struct HostLoad {
     /// Booked CPU of resident VMs.
@@ -179,19 +179,30 @@ pub struct MigrantVm {
 /// of a server, in placement and consolidation alike.
 const ZOMBIE_BOOKED_CAP: f64 = 1.3;
 
+/// ZombieStack's actual-usage cap: a host's summed CPU utilization may
+/// reach 85 %, in placement and consolidation alike.
+const ZOMBIE_USAGE_CAP: f64 = 0.85;
+
+/// The 50 % rule (§5.1, §6.3): ZombieStack places a VM only where at
+/// least half its booked memory is local.
+const ZOMBIE_MIN_LOCAL_FRACTION: f64 = 0.5;
+
+/// The 30 %-of-WSS rule (§5.2): a migrating VM needs 30 % of its working
+/// set locally on the target; remote memory covers the rest.
+const ZOMBIE_MIGRATION_WSS_FRACTION: f64 = 0.30;
+
+/// Hosts below this actual CPU utilization are evacuation candidates
+/// (Neat's paper setup, shared by every consolidating policy).
+const UNDERLOAD_THRESHOLD: f64 = 0.20;
+
 /// Vanilla Nova placement: the full booking must fit locally.
 #[derive(Debug)]
-pub struct FullBookingPlacement {
-    nova: NovaScheduler,
-}
+pub struct FullBookingPlacement;
 
 impl PlacementPolicy for FullBookingPlacement {
     fn admit(&self, h: &HostLoad, cpu: f64, _cpu_used: f64, mem: f64, _pool: f64) -> Option<f64> {
-        // min_local_fraction is 1.0 here, so the memory condition is the
-        // classic "all booked memory local".
-        if h.cpu_booked + cpu > 1.0 + 1e-9
-            || h.free_local + 1e-9 < self.nova.min_local_fraction * mem
-        {
+        // The classic "all booked memory local".
+        if h.cpu_booked + cpu > 1.0 + 1e-9 || h.free_local + 1e-9 < mem {
             None
         } else {
             Some(mem)
@@ -207,20 +218,20 @@ impl PlacementPolicy for FullBookingPlacement {
 /// booking overcommit, the 50 % local rule, remote share from the rack
 /// pool.
 #[derive(Debug)]
-pub struct ZombieStackPlacement {
-    nova: NovaScheduler,
-}
+pub struct ZombieStackPlacement;
 
 impl PlacementPolicy for ZombieStackPlacement {
     fn admit(&self, h: &HostLoad, cpu: f64, cpu_used: f64, mem: f64, pool: f64) -> Option<f64> {
         // Usage-aware CPU admission with a bounded booking overcommit,
         // mirroring the consolidation rule, so that arrivals can land on
         // usage-packed hosts instead of waking zombies.
-        if h.cpu_used + cpu_used > 0.85 + 1e-9 || h.cpu_booked + cpu > ZOMBIE_BOOKED_CAP + 1e-9 {
+        if h.cpu_used + cpu_used > ZOMBIE_USAGE_CAP + 1e-9
+            || h.cpu_booked + cpu > ZOMBIE_BOOKED_CAP + 1e-9
+        {
             return None;
         }
         let local = mem.min(h.free_local);
-        if local + 1e-9 < self.nova.min_local_fraction * mem {
+        if local + 1e-9 < ZOMBIE_MIN_LOCAL_FRACTION * mem {
             return None;
         }
         if mem - local > pool + 1e-9 {
@@ -244,9 +255,7 @@ impl PlacementPolicy for ZombieStackPlacement {
 
 /// Consolidation disabled (AlwaysOn baseline, NoConsolidate toy).
 #[derive(Debug)]
-pub struct DisabledConsolidation {
-    neat: Neat,
-}
+pub struct DisabledConsolidation;
 
 impl ConsolidationPolicy for DisabledConsolidation {
     fn enabled(&self) -> bool {
@@ -254,7 +263,7 @@ impl ConsolidationPolicy for DisabledConsolidation {
     }
 
     fn underload_threshold(&self) -> f64 {
-        self.neat.underload_threshold
+        UNDERLOAD_THRESHOLD
     }
 
     fn accepts_migration(
@@ -272,14 +281,13 @@ impl ConsolidationPolicy for DisabledConsolidation {
 /// hosts suspend to S3.
 #[derive(Debug)]
 pub struct VanillaNeatConsolidation {
-    neat: Neat,
     /// Oasis layers partial migration on top of the same planner.
     parks: bool,
 }
 
 impl ConsolidationPolicy for VanillaNeatConsolidation {
     fn underload_threshold(&self) -> f64 {
-        self.neat.underload_threshold
+        UNDERLOAD_THRESHOLD
     }
 
     fn parks_idle_memory(&self) -> bool {
@@ -304,13 +312,11 @@ impl ConsolidationPolicy for VanillaNeatConsolidation {
 /// ZombieStack consolidation: the 30 %-of-WSS rule, usage-based CPU
 /// packing, emptied hosts enter Sz, idle zombies demote to S3.
 #[derive(Debug)]
-pub struct ZombieStackConsolidation {
-    neat: Neat,
-}
+pub struct ZombieStackConsolidation;
 
 impl ConsolidationPolicy for ZombieStackConsolidation {
     fn underload_threshold(&self) -> f64 {
-        self.neat.underload_threshold
+        UNDERLOAD_THRESHOLD
     }
 
     fn evacuates_to_zombie(&self) -> bool {
@@ -334,14 +340,14 @@ impl ConsolidationPolicy for ZombieStackConsolidation {
         _cpu_fill_cap: f64,
     ) -> bool {
         // Usage-based CPU packing with a bounded booking overcommit.
-        if h.cpu_used + vm.cpu_used > 0.85 + 1e-9
+        if h.cpu_used + vm.cpu_used > ZOMBIE_USAGE_CAP + 1e-9
             || h.cpu_booked + vm.cpu_booked > ZOMBIE_BOOKED_CAP + 1e-9
         {
             return false;
         }
-        // The 30 %-of-WSS rule, as in `Neat::fits` (ZombieStack mode).
+        // The 30 %-of-WSS rule.
         let local = vm.mem.min(h.free_local);
-        local + 1e-9 >= 0.30 * vm.wss && (vm.mem - local) <= pool + 1e-9
+        local + 1e-9 >= ZOMBIE_MIGRATION_WSS_FRACTION * vm.wss && (vm.mem - local) <= pool + 1e-9
     }
 
     fn booked_ceiling(&self, _cpu_fill_cap: f64) -> Option<f64> {
@@ -358,7 +364,7 @@ impl ConsolidationPolicy for ZombieStackConsolidation {
 pub struct PolicySpec {
     /// CLI name (lowercase; `--policy <key>` and [`lookup`]).
     pub key: &'static str,
-    /// Figure/report label ([`crate::SimReport::policy`]).
+    /// Figure/report label (the simulator reports it as the run's policy).
     pub label: &'static str,
     /// One-line description for `--list-policies`.
     pub summary: &'static str,
@@ -376,34 +382,13 @@ impl fmt::Debug for PolicySpec {
     }
 }
 
-static FULL_BOOKING: FullBookingPlacement = FullBookingPlacement {
-    nova: NovaScheduler::vanilla(),
-};
-static ZOMBIE_PLACEMENT: ZombieStackPlacement = ZombieStackPlacement {
-    nova: NovaScheduler::zombiestack(),
-};
-static DISABLED: DisabledConsolidation = DisabledConsolidation {
-    neat: Neat::new(ConsolidationMode::VanillaNeat),
-};
-static VANILLA_NEAT: VanillaNeatConsolidation = VanillaNeatConsolidation {
-    neat: Neat::new(ConsolidationMode::VanillaNeat),
-    parks: false,
-};
-static OASIS_NEAT: VanillaNeatConsolidation = VanillaNeatConsolidation {
-    neat: Neat::new(ConsolidationMode::VanillaNeat),
-    parks: true,
-};
-static ZOMBIE_CONSOLIDATION: ZombieStackConsolidation = ZombieStackConsolidation {
-    neat: Neat::new(ConsolidationMode::ZombieStack),
-};
-
 /// The AlwaysOn baseline.
 pub static ALWAYS_ON: PolicySpec = PolicySpec {
     key: "alwayson",
     label: "AlwaysOn",
     summary: "no power management; the savings baseline",
-    placement: &FULL_BOOKING,
-    consolidation: &DISABLED,
+    placement: &FullBookingPlacement,
+    consolidation: &DisabledConsolidation,
 };
 
 /// Vanilla OpenStack Neat.
@@ -411,8 +396,8 @@ pub static NEAT: PolicySpec = PolicySpec {
     key: "neat",
     label: "Neat",
     summary: "vanilla Neat consolidation; emptied hosts suspend to S3",
-    placement: &FULL_BOOKING,
-    consolidation: &VANILLA_NEAT,
+    placement: &FullBookingPlacement,
+    consolidation: &VanillaNeatConsolidation { parks: false },
 };
 
 /// Oasis hybrid consolidation.
@@ -420,8 +405,8 @@ pub static OASIS: PolicySpec = PolicySpec {
     key: "oasis",
     label: "Oasis",
     summary: "Neat plus partial migration of idle VMs onto memory servers",
-    placement: &FULL_BOOKING,
-    consolidation: &OASIS_NEAT,
+    placement: &FullBookingPlacement,
+    consolidation: &VanillaNeatConsolidation { parks: true },
 };
 
 /// The paper's system.
@@ -429,8 +414,8 @@ pub static ZOMBIE_STACK: PolicySpec = PolicySpec {
     key: "zombiestack",
     label: "ZombieStack",
     summary: "50% local placement, 30%-of-WSS consolidation, Sz zombies lend the rack pool",
-    placement: &ZOMBIE_PLACEMENT,
-    consolidation: &ZOMBIE_CONSOLIDATION,
+    placement: &ZombieStackPlacement,
+    consolidation: &ZombieStackConsolidation,
 };
 
 /// A toy policy demonstrating registry extension: AlwaysOn's mechanics
@@ -439,8 +424,8 @@ pub static NO_CONSOLIDATE: PolicySpec = PolicySpec {
     key: "noconsolidate",
     label: "NoConsolidate",
     summary: "toy: vanilla placement with consolidation switched off",
-    placement: &FULL_BOOKING,
-    consolidation: &DISABLED,
+    placement: &FullBookingPlacement,
+    consolidation: &DisabledConsolidation,
 };
 
 /// Every registered policy, in listing order (paper policies first).
@@ -547,6 +532,105 @@ mod tests {
             NEAT.placement.wake_preference(),
             WakePreference::FirstSleeping
         );
+    }
+
+    fn load(cpu_booked: f64, cpu_used: f64, free_local: f64) -> HostLoad {
+        HostLoad {
+            cpu_booked,
+            cpu_used,
+            free_local,
+        }
+    }
+
+    #[test]
+    fn vanilla_needs_full_local_memory() {
+        let h = load(0.0, 0.0, 0.3);
+        assert_eq!(NEAT.placement.admit(&h, 0.2, 0.1, 0.5, 10.0), None);
+        // ZombieStack takes it: 0.3 local (>= 50 % of 0.5) + 0.2 remote.
+        assert_eq!(
+            ZOMBIE_STACK.placement.admit(&h, 0.2, 0.1, 0.5, 10.0),
+            Some(0.3)
+        );
+    }
+
+    #[test]
+    fn fifty_percent_rule_enforced() {
+        // Only 0.2 free; a 0.5 VM needs >= 0.25 local.
+        let z = ZOMBIE_STACK.placement;
+        assert_eq!(z.admit(&load(0.0, 0.0, 0.2), 0.1, 0.05, 0.5, 10.0), None);
+        assert_eq!(
+            z.admit(&load(0.0, 0.0, 0.25), 0.1, 0.05, 0.5, 10.0),
+            Some(0.25)
+        );
+    }
+
+    #[test]
+    fn remote_pool_must_cover_the_rest() {
+        let z = ZOMBIE_STACK.placement;
+        let h = load(0.0, 0.0, 0.3);
+        assert_eq!(z.admit(&h, 0.1, 0.05, 0.5, 0.1), None, "pool too small");
+        assert_eq!(z.admit(&h, 0.1, 0.05, 0.5, 0.2), Some(0.3));
+    }
+
+    #[test]
+    fn local_memory_preferred_over_remote() {
+        // The rule takes as much local memory as the host can give.
+        let z = ZOMBIE_STACK.placement;
+        assert_eq!(
+            z.admit(&load(0.0, 0.0, 0.8), 0.1, 0.05, 0.5, 10.0),
+            Some(0.5)
+        );
+    }
+
+    #[test]
+    fn zombie_placement_caps_booking_and_usage() {
+        let z = ZOMBIE_STACK.placement;
+        // Booking may pass one server, up to 1.3.
+        assert_eq!(
+            z.admit(&load(1.1, 0.2, 1.0), 0.1, 0.05, 0.1, 0.0),
+            Some(0.1)
+        );
+        assert_eq!(z.admit(&load(1.25, 0.2, 1.0), 0.1, 0.05, 0.1, 0.0), None);
+        // Actual usage stops at 0.85.
+        assert_eq!(
+            z.admit(&load(0.5, 0.8, 1.0), 0.1, 0.05, 0.1, 0.0),
+            Some(0.1)
+        );
+        assert_eq!(z.admit(&load(0.5, 0.8, 1.0), 0.1, 0.1, 0.1, 0.0), None);
+        // Vanilla placement keeps the whole booking under one server.
+        assert_eq!(
+            NEAT.placement
+                .admit(&load(0.95, 0.0, 1.0), 0.1, 0.0, 0.1, 0.0),
+            None
+        );
+    }
+
+    #[test]
+    fn zombiestack_thirty_percent_rule() {
+        // Target with 0.2 free memory; the VM books 0.5, its WSS is 0.4.
+        let h = load(0.4, 0.3, 0.2);
+        let vm = |footprint| MigrantVm {
+            cpu_booked: 0.2,
+            cpu_used: 0.16,
+            mem: footprint,
+            wss: 0.4,
+        };
+        // Vanilla needs the 0.5 footprint free: rejected.
+        let vanilla = NEAT.consolidation;
+        assert!(!vanilla.accepts_migration(
+            &h,
+            &vm(vanilla.migration_footprint(0.5, None)),
+            10.0,
+            1.0
+        ));
+        // ZombieStack needs 0.3 x 0.4 = 0.12 local: accepted...
+        let z = ZOMBIE_STACK.consolidation;
+        let migrant = vm(z.migration_footprint(0.5, Some(0.5)));
+        assert!(z.accepts_migration(&h, &migrant, 10.0, 1.0));
+        // ...but not when the pool cannot take the 0.3 overflow.
+        assert!(!z.accepts_migration(&h, &migrant, 0.1, 1.0));
+        // Nor below 30 % of the WSS locally.
+        assert!(!z.accepts_migration(&load(0.4, 0.3, 0.1), &migrant, 10.0, 1.0));
     }
 
     #[test]

@@ -1,21 +1,30 @@
-//! ZombieStack bound to a live rack: the end-to-end stack the examples
-//! and integration tests drive.
+//! ZombieStack bound to a live rack: the end-to-end stack the
+//! integration tests drive.
 //!
-//! [`ZombieStack`] owns a [`Rack`] and runs the OpenStack-layer decisions
-//! against it: Nova-style placement with the 50 % rule (allocating the
-//! remote share via `GS_alloc_ext`), Neat-style consolidation (pushing
+//! [`ZombieStack`] owns a [`Rack`] and runs the paper's policy against
+//! it: placement under the 50 % rule (allocating the remote share via
+//! `GS_alloc_ext`), consolidation under the 30 %-of-WSS rule (pushing
 //! emptied servers into Sz through the real ACPI/fabric path), and the
-//! modified migration protocol.
+//! modified migration protocol. Every host is judged by the registry
+//! entry [`ZOMBIE_STACK`], the same rules the datacenter simulator
+//! reports: hosts are tried first-fit in stacking order (most booked CPU
+//! first, ties to the lower id). When no active host admits a VM, the
+//! zombie `GS_get_lru_zombie` names wakes: the registry's
+//! [`IdleZombieFirst`](crate::policy::WakePreference::IdleZombieFirst)
+//! preference, served by the controller.
 
 use std::collections::BTreeMap;
 
 use zombieland_core::{Rack, RackConfig, RackError, ServerId};
-use zombieland_mem::buffer::BufferId;
+use zombieland_mem::buffer::{buffers_for, BufferId, BUFF_SIZE};
 use zombieland_simcore::{Bytes, SimDuration, SimTime};
 
-use crate::consolidation::{ConsolidationMode, Neat};
 use crate::migration::{self, MigrationStats};
-use crate::placement::{HostPowerState, HostView, NovaScheduler, VmView};
+use crate::policy::{HostLoad, MigrantVm, ZOMBIE_STACK};
+
+/// The booked-CPU packing cap handed to `accepts_migration`: one whole
+/// server. ZombieStack's rule applies its own caps and ignores it.
+const CPU_FILL_CAP: f64 = 1.0;
 
 /// A VM request at the cloud API.
 #[derive(Clone, Copy, Debug)]
@@ -59,8 +68,6 @@ pub struct ConsolidationReport {
 /// The cloud operating system over one rack.
 pub struct ZombieStack {
     rack: Rack,
-    scheduler: NovaScheduler,
-    neat: Neat,
     vms: BTreeMap<u64, PlacedVm>,
     last_consolidation: Option<SimTime>,
     last_swap_refresh: Option<SimTime>,
@@ -71,8 +78,6 @@ impl ZombieStack {
     pub fn new(config: RackConfig) -> Self {
         ZombieStack {
             rack: Rack::new(config),
-            scheduler: NovaScheduler::zombiestack(),
-            neat: Neat::new(ConsolidationMode::ZombieStack),
             vms: BTreeMap::new(),
             last_consolidation: None,
             last_swap_refresh: None,
@@ -97,12 +102,8 @@ impl ZombieStack {
         b.get() as f64 / self.server_ram().get() as f64
     }
 
-    fn host_view(&self, s: ServerId) -> HostView {
-        let state = match self.rack.state(s) {
-            Ok(zombieland_acpi::SleepState::S0) => HostPowerState::Active,
-            Ok(zombieland_acpi::SleepState::Sz) => HostPowerState::Zombie,
-            _ => HostPowerState::Sleeping,
-        };
+    /// Host `s`'s load as the policy sees it, summed over its VMs.
+    fn load(&self, s: ServerId) -> HostLoad {
         let mut cpu_booked = 0.0;
         let mut cpu_used = 0.0;
         let mut mem_local = Bytes::ZERO;
@@ -111,37 +112,43 @@ impl ZombieStack {
             cpu_used += vm.spec.cpu_used;
             mem_local += vm.local;
         }
-        HostView {
-            id: s.get(),
-            state,
-            cpu_capacity: 1.0,
-            mem_capacity: self.norm(self.server_ram() - self.rack.config().system_reserved),
+        HostLoad {
             cpu_booked,
-            mem_booked_local: self.norm(mem_local),
             cpu_used,
+            free_local: (self.usable() - self.norm(mem_local)).max(0.0),
         }
     }
 
-    fn views(&self) -> Vec<HostView> {
-        self.rack
+    /// A host's memory after the hypervisor reserve, normalised.
+    fn usable(&self) -> f64 {
+        self.norm(self.server_ram() - self.rack.config().system_reserved)
+    }
+
+    /// Every active host with its load, in stacking order.
+    fn active_loads(&self) -> Vec<(ServerId, HostLoad)> {
+        let mut loads: Vec<(ServerId, HostLoad)> = self
+            .rack
             .server_ids()
             .into_iter()
-            .map(|s| self.host_view(s))
-            .collect()
+            .filter(|&s| self.rack.state(s) == Ok(zombieland_acpi::SleepState::S0))
+            .map(|s| (s, self.load(s)))
+            .collect();
+        sort_stacking(&mut loads);
+        loads
     }
 
-    fn vm_view(&self, spec: &VmSpec) -> VmView {
-        VmView {
-            id: spec.id,
-            cpu_booked: spec.cpu,
-            mem_booked: self.norm(spec.mem),
-            cpu_used: spec.cpu_used,
-            mem_used: self.norm(spec.wss),
-        }
-    }
-
-    fn remote_pool(&self) -> f64 {
-        self.norm(self.rack.db().free_memory())
+    /// How `vm` re-splits onto a host with `free_local` free: its local
+    /// share there (as much as fits), and the remote bytes it must
+    /// allocate beyond the buffers it already holds.
+    fn split(&self, vm: &PlacedVm, free_local: f64) -> (Bytes, Bytes) {
+        let local = vm.spec.mem.min(self.server_ram().mul_f64(free_local));
+        let have_remote = BUFF_SIZE * vm.remote_buffers.len() as u64;
+        let extra = vm
+            .spec
+            .mem
+            .saturating_sub(local)
+            .saturating_sub(have_remote);
+        (local, extra)
     }
 
     fn sync_local_usage(&mut self, s: ServerId) -> Result<(), RackError> {
@@ -154,33 +161,55 @@ impl ZombieStack {
         self.rack.set_local_usage(s, used)
     }
 
-    /// Boots a VM: schedules it under the 50 % rule, allocates the remote
-    /// share via `GS_alloc_ext`, and records the placement. When no
-    /// active host fits, the zombie with the fewest allocated buffers is
-    /// woken (`GS_get_lru_zombie`, §5.2) and placement retried.
+    /// Boots a VM: places it on the first active host in stacking order
+    /// that the placement rule admits, allocates the remote share via
+    /// `GS_alloc_ext`, and records the placement. When no active host
+    /// fits, the zombie with the fewest allocated buffers is woken
+    /// (`GS_get_lru_zombie`, §5.2) and placement retried. A VM that even
+    /// an empty host would reject fails at once, waking nothing (the
+    /// simulator wakes every host it can, then overcommits such a VM).
     pub fn boot_vm(&mut self, spec: VmSpec) -> Result<ServerId, RackError> {
-        let vm = self.vm_view(&spec);
-        let placement = loop {
-            let views = self.views();
-            if let Some(p) = self.scheduler.schedule(&views, &vm, self.remote_pool()) {
-                break p;
+        let mem = self.norm(spec.mem);
+        let (host, local_frac) = loop {
+            let pool = self.norm(self.rack.db().free_memory());
+            let admit = |load: &HostLoad| {
+                ZOMBIE_STACK
+                    .placement
+                    .admit(load, spec.cpu, spec.cpu_used, mem, pool)
+            };
+            let fit = self
+                .active_loads()
+                .into_iter()
+                .find_map(|(s, load)| admit(&load).map(|local| (s, local)));
+            if let Some(fit) = fit {
+                break fit;
             }
             // "If there is no host that satisfies this requirement, we
-            // choose and wake up a zombie host."
-            let Some(lru) = self.rack.get_lru_zombie(ServerId::new(0))? else {
+            // choose and wake up a zombie host." A woken zombie is empty
+            // and waking only shrinks the pool, so when an empty host
+            // rejects the VM no wake can help.
+            let empty = HostLoad {
+                cpu_booked: 0.0,
+                cpu_used: 0.0,
+                free_local: self.usable(),
+            };
+            let lru = match admit(&empty) {
+                Some(_) => self.rack.get_lru_zombie(ServerId::new(0))?,
+                None => None,
+            };
+            let Some(lru) = lru else {
                 return Err(RackError::Db(
                     zombieland_core::db::DbError::AdmissionDenied {
-                        requested: zombieland_mem::buffer::buffers_for(spec.mem),
+                        requested: buffers_for(spec.mem),
                         available: 0,
                     },
                 ));
             };
-            self.rack.wake(lru, None)?;
+            if self.rack.wake(lru, None)?.revoked > 0 {
+                self.rehome_revoked()?;
+            }
         };
-        let host = ServerId::new(placement.host);
-        let local = spec
-            .mem
-            .mul_f64(placement.local_mem / vm.mem_booked.max(1e-12));
+        let local = spec.mem.mul_f64(local_frac / mem.max(1e-12));
         let remote = spec.mem.saturating_sub(local);
         let remote_buffers = if remote > Bytes::ZERO {
             self.rack.alloc_ext(host, remote)?.buffers
@@ -198,6 +227,27 @@ impl ZombieStack {
         );
         self.sync_local_usage(host)?;
         Ok(host)
+    }
+
+    /// Settles the buffers a wake revoked from their users (`US_reclaim`,
+    /// §4.3): each VM drops the buffers its host no longer holds and
+    /// re-allocates replacements while the pool has free buffers. What
+    /// the pool cannot cover is served from the VM's local backup.
+    fn rehome_revoked(&mut self) -> Result<(), RackError> {
+        let ids: Vec<u64> = self.vms.keys().copied().collect();
+        for id in ids {
+            let vm = &self.vms[&id];
+            let (host, held) = (vm.host, vm.remote_buffers.len());
+            let manager = self.rack.manager(host);
+            let mut kept = vm.remote_buffers.clone();
+            kept.retain(|&b| manager.buffer_record(b).is_ok());
+            let refill = ((held - kept.len()) as u64).min(self.rack.db().free_buffers());
+            if refill > 0 {
+                kept.extend(self.rack.alloc_ext(host, BUFF_SIZE * refill)?.buffers);
+            }
+            self.vms.get_mut(&id).expect("present").remote_buffers = kept;
+        }
+        Ok(())
     }
 
     /// Destroys a VM, releasing its remote buffers.
@@ -230,25 +280,15 @@ impl ZombieStack {
 
         // Re-split: as much local memory as the target can spare, the
         // rest remote (allocating the shortfall).
-        let target_view = self.host_view(target);
-        let free_local = self
-            .server_ram()
-            .mul_f64((target_view.mem_capacity - target_view.mem_booked_local).max(0.0));
-        let new_local = vm.spec.mem.min(free_local);
-        let need_remote = vm.spec.mem.saturating_sub(new_local);
-        let have_remote = zombieland_mem::buffer::BUFF_SIZE * vm.remote_buffers.len() as u64;
+        let (_, extra) = self.split(&vm, self.load(target).free_local);
         let mut buffers = vm.remote_buffers.clone();
-        if need_remote > have_remote {
-            let extra = self.rack.alloc_ext(target, need_remote - have_remote)?;
-            buffers.extend(extra.buffers);
+        if extra > Bytes::ZERO {
+            buffers.extend(self.rack.alloc_ext(target, extra)?.buffers);
         }
 
         let vm_mut = self.vms.get_mut(&id).expect("present");
         vm_mut.host = target;
-        vm_mut.local = vm
-            .spec
-            .mem
-            .saturating_sub(zombieland_mem::buffer::BUFF_SIZE * buffers.len() as u64);
+        vm_mut.local = vm.spec.mem.saturating_sub(BUFF_SIZE * buffers.len() as u64);
         vm_mut.remote_buffers = buffers;
         self.sync_local_usage(source)?;
         self.sync_local_usage(target)?;
@@ -298,81 +338,63 @@ impl ZombieStack {
         Ok(None)
     }
 
-    /// One Neat consolidation round: first relieve overloaded hosts
-    /// (steps 2–4 of the Neat algorithm), then evacuate underloaded hosts
-    /// onto their peers (30 % rule) and push the emptied hosts into Sz.
+    /// Active hosts under the policy's underload threshold, least loaded
+    /// first (ties to the lower id): the evacuation candidates.
+    fn underloaded(&self) -> Vec<ServerId> {
+        let threshold = ZOMBIE_STACK.consolidation.underload_threshold();
+        let mut hosts = self.active_loads();
+        hosts.retain(|(_, load)| load.cpu_used < threshold);
+        hosts.sort_by(|(a, la), (b, lb)| la.cpu_used.total_cmp(&lb.cpu_used).then(a.cmp(b)));
+        hosts.into_iter().map(|(s, _)| s).collect()
+    }
+
+    /// Plans moving every VM off `source`: each goes to the first active
+    /// peer in stacking order that the migration rule accepts, judged on
+    /// loads and a pool that already carry the moves planned before it.
+    /// `None` if any VM fits nowhere (evacuation is all-or-nothing).
+    fn plan_evacuation(&self, source: ServerId) -> Option<Vec<(u64, ServerId)>> {
+        let rule = ZOMBIE_STACK.consolidation;
+        let mut loads = self.active_loads();
+        loads.retain(|&(s, _)| s != source);
+        let mut pool = self.rack.db().free_memory();
+        let mut moves = Vec::new();
+        for vm in self.vms.values().filter(|v| v.host == source) {
+            let migrant = MigrantVm {
+                cpu_booked: vm.spec.cpu,
+                cpu_used: vm.spec.cpu_used,
+                mem: rule.migration_footprint(self.norm(vm.spec.mem), Some(self.norm(vm.local))),
+                wss: self.norm(vm.spec.wss),
+            };
+            let pool_norm = self.norm(pool);
+            let i = loads.iter().position(|(_, load)| {
+                rule.accepts_migration(load, &migrant, pool_norm, CPU_FILL_CAP)
+            })?;
+            // Reserve what `migrate` will take on the target.
+            let (target, load) = &mut loads[i];
+            let (local, extra) = self.split(vm, load.free_local);
+            pool = pool.saturating_sub(BUFF_SIZE * buffers_for(extra));
+            load.cpu_booked += vm.spec.cpu;
+            load.cpu_used += vm.spec.cpu_used;
+            load.free_local = (load.free_local - self.norm(local)).max(0.0);
+            moves.push((vm.spec.id, *target));
+            sort_stacking(&mut loads);
+        }
+        Some(moves)
+    }
+
+    /// One consolidation round: evacuate underloaded hosts onto their
+    /// peers (30 % rule) and push the emptied hosts into Sz.
     pub fn consolidate(&mut self) -> Result<ConsolidationReport, RackError> {
         let mut report = ConsolidationReport::default();
-
-        // Overload relief: shed the smallest sufficient VMs.
-        let views = self.views();
-        for host_id in self.neat.overloaded(&views) {
-            let source = ServerId::new(host_id);
-            let resident: Vec<VmView> = self
-                .vms
-                .values()
-                .filter(|v| v.host == source)
-                .map(|v| self.vm_view(&v.spec))
-                .collect();
-            let host_view = self.host_view(source);
-            for vm_id in self.neat.select_vms_to_shed(&host_view, &resident) {
-                let spec = self.vms[&vm_id].spec;
-                let vm = self.vm_view(&spec);
-                let fresh = self.views();
-                if let Some(t) = self
-                    .neat
-                    .pick_target(&fresh, host_id, &vm, self.remote_pool())
-                {
-                    let target = ServerId::new(t);
-                    let stats = self.migrate(vm_id, target)?;
-                    report.migration_time += stats.total;
-                    report.migrations.push((vm_id, source, target, stats));
-                }
-            }
-        }
-
-        let views = self.views();
-        for host_id in self.neat.underloaded(&views) {
+        for source in self.underloaded() {
             // Never suspend the last active host: the rack must keep
             // compute capacity for arrivals (and someone to run agents).
-            let actives = self
-                .rack
-                .server_ids()
-                .into_iter()
-                .filter(|&s| self.rack.state(s) == Ok(zombieland_acpi::SleepState::S0))
-                .count();
-            if actives <= 1 {
+            if self.active_loads().len() <= 1 {
                 break;
             }
-            let source = ServerId::new(host_id);
-            let resident: Vec<u64> = self
-                .vms
-                .values()
-                .filter(|v| v.host == source)
-                .map(|v| v.spec.id)
-                .collect();
-            // Find a target for every VM; abort the host if any VM is
-            // stuck (all-or-nothing evacuation).
-            let mut moves = Vec::new();
-            let mut ok = true;
-            for vm_id in &resident {
-                let spec = self.vms[vm_id].spec;
-                let vm = self.vm_view(&spec);
-                let fresh_views = self.views();
-                match self
-                    .neat
-                    .pick_target(&fresh_views, host_id, &vm, self.remote_pool())
-                {
-                    Some(t) => moves.push((*vm_id, ServerId::new(t))),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
+            let Some(moves) = self.plan_evacuation(source) else {
                 continue;
-            }
+            };
             for (vm_id, target) in moves {
                 let stats = self.migrate(vm_id, target)?;
                 report.migration_time += stats.total;
@@ -385,6 +407,12 @@ impl ZombieStack {
         }
         Ok(report)
     }
+}
+
+/// Sorts hosts into stacking order: most booked CPU first, ties to the
+/// lower id, so load concentrates and empty servers emerge.
+fn sort_stacking(loads: &mut [(ServerId, HostLoad)]) {
+    loads.sort_by(|(a, la), (b, lb)| lb.cpu_booked.total_cmp(&la.cpu_booked).then(a.cmp(b)));
 }
 
 #[cfg(test)]
@@ -490,6 +518,26 @@ mod tests {
     }
 
     #[test]
+    fn wakeup_prefers_lru_zombie() {
+        let mut stack = ZombieStack::new(RackConfig {
+            servers: 3,
+            ..RackConfig::default()
+        });
+        let ids = stack.rack.server_ids();
+        // Host 2 lends the remote share of a split VM; host 1 then
+        // enters Sz lending nothing.
+        stack.rack.goto_zombie(ids[2]).unwrap();
+        assert_eq!(stack.boot_vm(spec(1, 0.5, 20, 0.3)).unwrap(), ids[0]);
+        stack.rack.goto_zombie(ids[1]).unwrap();
+        // Usage 0.3 + 0.6 > 0.85: the idle zombie wakes, not the lender.
+        assert_eq!(stack.boot_vm(spec(2, 0.5, 4, 0.6)).unwrap(), ids[1]);
+        assert_eq!(
+            stack.rack.state(ids[2]).unwrap(),
+            zombieland_acpi::SleepState::Sz
+        );
+    }
+
+    #[test]
     fn boot_fails_when_rack_exhausted() {
         let mut stack = ZombieStack::new(RackConfig {
             servers: 1,
@@ -500,26 +548,143 @@ mod tests {
     }
 
     #[test]
-    fn overloaded_hosts_shed_vms() {
+    fn vm_no_empty_host_admits_fails_without_waking() {
+        let mut stack = ZombieStack::new(RackConfig {
+            servers: 3,
+            ..RackConfig::default()
+        });
+        let ids = stack.rack.server_ids();
+        stack.boot_vm(spec(1, 0.5, 4, 0.3)).unwrap();
+        stack.rack.goto_zombie(ids[1]).unwrap();
+        stack.rack.goto_zombie(ids[2]).unwrap();
+        // Usage 0.9 > 0.85 even alone: rejected at once, both zombies
+        // left asleep.
+        assert!(stack.boot_vm(spec(2, 1.0, 4, 0.9)).is_err());
+        for &s in &ids[1..] {
+            assert_eq!(
+                stack.rack.state(s).unwrap(),
+                zombieland_acpi::SleepState::Sz
+            );
+        }
+        // A VM an empty host admits still wakes a zombie.
+        assert_eq!(stack.boot_vm(spec(3, 0.6, 4, 0.6)).unwrap(), ids[1]);
+    }
+
+    /// Puts `spec` on `host` fully local, bypassing placement, to set
+    /// up a load.
+    fn place(stack: &mut ZombieStack, spec: VmSpec, host: ServerId) {
+        let vm = PlacedVm {
+            spec,
+            host,
+            local: spec.mem,
+            remote_buffers: Vec::new(),
+        };
+        stack.vms.insert(spec.id, vm);
+        stack.sync_local_usage(host).unwrap();
+    }
+
+    #[test]
+    fn no_host_passes_the_usage_cap() {
         let mut stack = ZombieStack::new(RackConfig {
             servers: 2,
             ..RackConfig::default()
         });
-        // Overload host 0 (>90 % used), with a peer that has room. The
-        // second VM is the smallest by memory, so the MMT heuristic sheds
-        // it — and it fits on the peer.
+        let ids = stack.rack.server_ids();
         stack.boot_vm(spec(1, 0.6, 2, 0.55)).unwrap();
-        stack.boot_vm(spec(2, 0.39, 1, 0.38)).unwrap();
-        stack.boot_vm(spec(3, 0.5, 2, 0.45)).unwrap(); // Lands on host 1.
+        // 0.55 + 0.38 > 0.85: the second VM cannot join the first.
+        assert_eq!(stack.boot_vm(spec(2, 0.39, 1, 0.38)).unwrap(), ids[1]);
+        // Stacking tries host 0 first (more booked), whose usage would
+        // reach 1.0; host 1 takes it at 0.83.
+        assert_eq!(stack.boot_vm(spec(3, 0.5, 2, 0.45)).unwrap(), ids[1]);
         let report = stack.consolidate().unwrap();
-        assert!(
-            !report.migrations.is_empty(),
-            "the overloaded host shed at least one VM"
-        );
-        // No host remains overloaded.
-        for s in stack.rack.server_ids() {
-            let v = stack.host_view(s);
-            assert!(v.cpu_used <= 0.9 + 1e-9, "host {s}: {}", v.cpu_used);
+        assert!(report.migrations.is_empty(), "no host is underloaded");
+        for s in ids {
+            let used = stack.load(s).cpu_used;
+            assert!(used <= 0.85 + 1e-9, "host {s}: {used}");
+        }
+    }
+
+    #[test]
+    fn low_usage_vm_stacks_past_one_booked_server() {
+        let mut stack = ZombieStack::new(RackConfig {
+            servers: 2,
+            ..RackConfig::default()
+        });
+        let first = stack.boot_vm(spec(1, 0.7, 2, 0.2)).unwrap();
+        // Booking 0.7 + 0.5 = 1.2 stays under the 1.3 overcommit cap and
+        // usage 0.3 under 0.85: the VM stacks instead of spreading.
+        assert_eq!(stack.boot_vm(spec(2, 0.5, 2, 0.1)).unwrap(), first);
+        assert!((stack.load(first).cpu_booked - 1.2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn stacking_picks_most_loaded_host() {
+        let mut stack = ZombieStack::new(RackConfig::default());
+        let ids = stack.rack.server_ids();
+        // An empty rack ties everywhere: the lowest id wins.
+        assert_eq!(stack.boot_vm(spec(1, 0.2, 1, 0.1)).unwrap(), ids[0]);
+        place(&mut stack, spec(2, 0.6, 1, 0.3), ids[1]);
+        place(&mut stack, spec(3, 0.4, 1, 0.2), ids[2]);
+        assert_eq!(stack.boot_vm(spec(4, 0.2, 1, 0.1)).unwrap(), ids[1]);
+        // When the most booked host is full (usage 0.3 + 0.6 > 0.85),
+        // the next one in stacking order takes the VM.
+        assert_eq!(stack.boot_vm(spec(5, 0.2, 1, 0.6)).unwrap(), ids[2]);
+    }
+
+    #[test]
+    fn underload_detection_sorted() {
+        let mut stack = ZombieStack::new(RackConfig::default());
+        let ids = stack.rack.server_ids();
+        place(&mut stack, spec(1, 0.3, 1, 0.15), ids[0]);
+        place(&mut stack, spec(2, 0.1, 1, 0.05), ids[1]);
+        place(&mut stack, spec(3, 0.6, 1, 0.5), ids[2]);
+        stack.rack.goto_zombie(ids[3]).unwrap();
+        assert_eq!(stack.underloaded(), vec![ids[1], ids[0]]);
+    }
+
+    #[test]
+    fn migration_target_stacks() {
+        let mut stack = ZombieStack::new(RackConfig::default());
+        let ids = stack.rack.server_ids();
+        // Host 0 is underloaded but the most booked: it must never be
+        // its own VM's target.
+        place(&mut stack, spec(1, 0.6, 1, 0.1), ids[0]);
+        place(&mut stack, spec(2, 0.5, 1, 0.45), ids[1]);
+        place(&mut stack, spec(3, 0.3, 1, 0.25), ids[2]);
+        let report = stack.consolidate().unwrap();
+        // Empty host 3 goes first, then host 0 evacuates onto the most
+        // booked peer that accepts (booking 1.1, usage 0.55).
+        assert_eq!(report.suspended, vec![ids[3], ids[0]]);
+        let moves: Vec<_> = report
+            .migrations
+            .iter()
+            .map(|&(vm, from, to, _)| (vm, from, to))
+            .collect();
+        assert_eq!(moves, vec![(1, ids[0], ids[1])]);
+    }
+
+    #[test]
+    fn evacuation_plan_reserves_earlier_moves() {
+        let mut stack = ZombieStack::new(RackConfig {
+            servers: 3,
+            ..RackConfig::default()
+        });
+        let ids = stack.rack.server_ids();
+        // Host 1 has room for one of host 0's VMs (usage 0.7 + 0.1), not
+        // both: the second must go to host 2.
+        place(&mut stack, spec(1, 0.2, 1, 0.1), ids[0]);
+        place(&mut stack, spec(2, 0.2, 1, 0.09), ids[0]);
+        place(&mut stack, spec(3, 0.8, 1, 0.7), ids[1]);
+        place(&mut stack, spec(4, 0.5, 1, 0.5), ids[2]);
+        let report = stack.consolidate().unwrap();
+        let moves: Vec<_> = report
+            .migrations
+            .iter()
+            .map(|&(vm, _, to, _)| (vm, to))
+            .collect();
+        assert_eq!(moves, vec![(1, ids[1]), (2, ids[2])]);
+        for s in [ids[1], ids[2]] {
+            assert!(stack.load(s).cpu_used <= 0.85 + 1e-9);
         }
     }
 

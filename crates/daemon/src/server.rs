@@ -6,18 +6,21 @@
 //! a window of requests and read answers back positionally. A frame whose
 //! payload fails to decode is answered with a typed
 //! [`ErrorFrame::BadRequest`] frame (the connection survives; framing
-//! kept us in sync). The one-byte admin payload [`framing::SHUTDOWN`] is
-//! acknowledged with the same byte and stops the whole daemon once every
-//! in-flight request has been answered; the one-byte [`framing::STATS`]
-//! payload is answered with one frame of Prometheus-style exposition
-//! text (merged from the per-connection telemetry shards, with the
-//! model's live gauges and the open-connection count overlaid).
+//! kept us in sync). The one-byte admin payload
+//! [`framing::SHUTDOWN`](crate::framing::SHUTDOWN) is acknowledged with
+//! the same byte and stops the whole daemon once every in-flight request
+//! has been answered; the one-byte
+//! [`framing::STATS`](crate::framing::STATS) payload is answered with
+//! one frame of Prometheus-style exposition text (merged from the
+//! per-connection telemetry shards, with the model's live gauges and the
+//! open-connection count overlaid).
 //!
 //! A connection writes its answers out only when it is about to wait:
 //! after each request it flushes only if the read buffer holds no whole
-//! frame ([`framing::has_whole_frame`]). A pipelined burst of requests
-//! thus costs one `write`, not one per answer, while a lone request, or
-//! one followed by half a frame, is answered at once.
+//! frame ([`framing::has_whole_frame`](crate::framing::has_whole_frame)).
+//! A pipelined burst of requests thus costs one `write`, not one per
+//! answer, while a lone request, or one followed by half a frame, is
+//! answered at once.
 //!
 //! All state lives in one [`ClusterModel`] behind a mutex: the controller
 //! is intentionally a single serialization point (the paper's GS is one

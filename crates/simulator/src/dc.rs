@@ -21,7 +21,7 @@
 use core::cmp::Ordering;
 use std::collections::BTreeSet;
 
-use zombieland_cloud::oasis::OasisConfig;
+use zombieland_cloud::oasis::IDLE_VM_THRESHOLD;
 use zombieland_energy::PowerModel;
 use zombieland_simcore::{derive_seed, Joules, SimTime, Watts};
 use zombieland_trace::google::ClusterTrace;
@@ -231,7 +231,6 @@ pub(crate) struct Dc {
     pub(crate) energy: Joules,
     pub(crate) last: SimTime,
     pub(crate) report: SimReport,
-    pub(crate) oasis: OasisConfig,
     /// Active hosts, ascending index.
     active: BTreeSet<usize>,
     /// Active hosts keyed by `(booked_key(cpu_booked), index)` — the
@@ -386,7 +385,6 @@ impl Dc {
                 peak_queue: 0,
                 timeline: Vec::new(),
             },
-            oasis: OasisConfig::default(),
             active: (0..n).collect(),
             stack: StackOrder::default(),
             zombies: BTreeSet::new(),
@@ -1033,6 +1031,17 @@ impl Dc {
                 );
             }
             assert!(self.hosts.cpu_booked[i] >= -1e-6 && self.hosts.mem_local[i] >= -1e-6);
+            // Local memory is the resident VMs' local shares; the
+            // `.max(0.0)` clamps on every subtraction must not hide drift.
+            let local: f64 = self.hosts.vms[i]
+                .iter()
+                .map(|&t| self.vms[t].as_ref().map_or(0.0, |v| v.local_mem))
+                .sum();
+            assert!(
+                (local - self.hosts.mem_local[i]).abs() <= 1e-6,
+                "host {i}: mem_local {} but its VMs hold {local}",
+                self.hosts.mem_local[i]
+            );
             if state != HState::Zombie {
                 assert!(
                     self.hosts.remote_allocated[i] <= 1e-6,
@@ -1421,10 +1430,9 @@ impl Dc {
 
     /// Oasis: park the cold memory of idle VMs on underused hosts.
     fn oasis_park(&mut self, trace: &ClusterTrace) {
+        let underload = self.cfg.policy.consolidation.underload_threshold();
         for host in 0..self.hosts.len() {
-            if self.hosts.state[host] != HState::Active
-                || self.hosts.cpu_used[host] >= self.oasis.underload_threshold
-            {
+            if self.hosts.state[host] != HState::Active || self.hosts.cpu_used[host] >= underload {
                 continue;
             }
             // Index-walk the VM list in place: parking never edits
@@ -1432,7 +1440,7 @@ impl Dc {
             for vi in 0..self.hosts.vms[host].len() {
                 let task = self.hosts.vms[host][vi];
                 let t = &trace.tasks()[task];
-                if t.cpu_used >= self.oasis.idle_vm_threshold {
+                if t.cpu_used >= IDLE_VM_THRESHOLD {
                     continue;
                 }
                 let vm = self.vms[task].as_mut().expect("placed");

@@ -17,7 +17,8 @@
 //!
 //! The crate splits along the policy/mechanism line:
 //!
-//! - [`policy`] — the [`PlacementPolicy`](policy::PlacementPolicy) /
+//! - [`policy`] — re-exported from `zombieland-cloud`, the one copy of
+//!   the §5 rules: the [`PlacementPolicy`](policy::PlacementPolicy) /
 //!   [`ConsolidationPolicy`](policy::ConsolidationPolicy) traits, their
 //!   paper implementations and the static [`registry`](policy::REGISTRY)
 //!   that `--policy` / `--list-policies` resolve against.
@@ -35,7 +36,6 @@
 
 mod dc;
 mod events;
-pub mod policy;
 mod power;
 mod report;
 mod stack;
@@ -45,6 +45,7 @@ mod tests;
 pub use events::simulate;
 pub use policy::{PolicyKind, PolicySpec};
 pub use report::{SimReport, TimelineSample};
+pub use zombieland_cloud::policy;
 
 use zombieland_energy::{MachineProfile, PowerModel, TABLE3};
 use zombieland_simcore::SimDuration;

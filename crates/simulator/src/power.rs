@@ -6,6 +6,7 @@
 //! [`zombieland_energy::Table3Power`] by default), translating the
 //! simulator's host state into the model's [`HostDraw`] vocabulary.
 
+use zombieland_cloud::oasis::memory_server_power;
 use zombieland_energy::{HostDraw, MachineProfile};
 use zombieland_simcore::{SimDuration, SimTime, Watts};
 
@@ -51,8 +52,7 @@ impl Dc {
     pub(crate) fn advance(&mut self, now: SimTime) {
         let dt = now.saturating_since(self.last);
         if dt > SimDuration::ZERO {
-            let parked_power =
-                self.profile().max_power() * self.oasis.memory_server_power(self.parked_mem);
+            let parked_power = self.profile().max_power() * memory_server_power(self.parked_mem);
             // The zombie backend's pool is host memory, already priced in
             // `total_power`; a shared tier adds its own per-rack draw. The
             // first branch must stay the exact historical expression — it

@@ -24,7 +24,7 @@ fn main() {
     // --- 1. WSS estimation ---------------------------------------------
     // The micro-benchmark's true hot set is 48 % of its working set; the
     // hypervisor only sees accessed bits, yet its sampled estimate lands
-    // close — this number is what `Neat::fits` multiplies by 0.30.
+    // close — this number is what `accepts_migration` multiplies by 0.30.
     let (mut rack, user) = rack_with_zombie();
     rack.alloc_ext(user, Bytes::gib(1)).unwrap();
     let mut w = MicroBench::new(wss.pages(), 7);

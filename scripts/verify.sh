@@ -32,6 +32,9 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings -W clippy::perf"
 cargo clippy --workspace --all-targets -- -D warnings -W clippy::perf
 
+echo "==> rustdoc -D warnings (every intra-doc link resolves)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> determinism lint (wall-clock reads only in telemetry/profiling/load modules)"
 # The sim-time wall: deterministic code must never read the host clock.
 # Instant/SystemTime are allowed only where wall time IS the measurement

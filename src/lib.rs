@@ -19,8 +19,9 @@
 //! - [`hypervisor`] — KVM-like hypervisor paging with RAM Extension and
 //!   Explicit Swap Device remote-memory modes.
 //! - [`workloads`] — the evaluation's micro- and macro-benchmark models.
-//! - [`cloud`] — ZombieStack: placement, consolidation, migration, plus the
-//!   Neat and Oasis baselines.
+//! - [`cloud`] — ZombieStack: the §5 placement/consolidation rules and
+//!   their registry (with the Neat and Oasis baselines), the live rack
+//!   binding, migration.
 //! - [`simulator`] — datacenter-scale energy simulation.
 //! - [`obs`] — deterministic observability: sim-time trace events, metric
 //!   registries, JSONL export.
