@@ -242,6 +242,13 @@ pub fn print_figure8(scale: f64, jobs: usize) {
     let fifo = figure8_jobs(Policy::Fifo, scale, jobs);
     let clock = figure8_jobs(Policy::Clock, scale, jobs);
     let mixed = figure8_jobs(Policy::MIXED_DEFAULT, scale, jobs);
+    print!("{}", render_figure8(&fifo, &clock, &mixed));
+}
+
+/// Renders the Fig. 8 report exactly as the CLI prints it, from the
+/// FIFO, Clock and Mixed sweeps (see [`render_figure10`] for why the
+/// bytes matter).
+pub fn render_figure8(fifo: &[Fig8Point], clock: &[Fig8Point], mixed: &[Fig8Point]) -> String {
     let _span = profile::span(profile::Phase::Render);
     let mut t = Table::new(
         "Fig 8: FIFO vs Clock vs Mixed (micro-benchmark)",
@@ -277,7 +284,9 @@ pub fn print_figure8(scale: f64, jobs: usize) {
             },
         ]);
     }
-    t.print();
+    let mut out = t.render();
+    out.push('\n');
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -431,6 +440,11 @@ pub fn table2_jobs(workload: &'static str, scale: f64, jobs: usize) -> Vec<Table
 
 /// Prints one Table 2 sub-table.
 pub fn print_table2(workload: &str, rows: &[Table2Row]) {
+    print!("{}", render_table2(workload, rows));
+}
+
+/// Renders one Table 2 sub-table exactly as the CLI prints it.
+pub fn render_table2(workload: &str, rows: &[Table2Row]) -> String {
     let mut t = Table::new(
         &format!("Table 2 ({workload}): penalty by swap technology"),
         &["% local", "v1-RE", "v2-ESD", "v2-LFSD", "v2-LSSD"],
@@ -444,7 +458,9 @@ pub fn print_table2(workload: &str, rows: &[Table2Row]) {
             fmt_penalty(r.lssd),
         ]);
     }
-    t.print();
+    let mut out = t.render();
+    out.push('\n');
+    out
 }
 
 // ---------------------------------------------------------------------

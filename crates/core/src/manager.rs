@@ -10,10 +10,11 @@
 //! remote capacity remains.
 
 use core::fmt;
+use core::num::NonZeroU32;
 use std::collections::{BTreeMap, BTreeSet};
 
 use zombieland_mem::buffer::{BufferId, RemoteSlot, SlotMap};
-use zombieland_simcore::{Bytes, FastMap, FastSet, Pages};
+use zombieland_simcore::{Bytes, Pages};
 
 use crate::db::BufferRecord;
 use crate::server::ServerId;
@@ -21,19 +22,44 @@ use crate::server::ServerId;
 /// A stable handle to one remotely placed page. The hypervisor stores
 /// handles in its page tables; the manager tracks where each handle's
 /// bytes physically are (they can move under revocation).
+///
+/// `seq` is the handle's identity: a sequence number never reused, which
+/// orders handles by placement and names them in `Debug` (`page:N`).
+/// `idx` locates the handle's entry in the manager's page table; entries
+/// are reused after a free, and a lookup whose entry now carries another
+/// `seq` fails as a stale handle.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PageHandle(u64);
+pub struct PageHandle {
+    /// First field: the derived `Ord` compares it first, so revocation
+    /// and loss handle pages in placement order.
+    seq: u64,
+    /// Table index plus one: the niche keeps `Option<PageHandle>` at
+    /// 16 bytes in the hypervisor's per-frame handle table.
+    idx: NonZeroU32,
+}
 
 impl PageHandle {
-    /// The raw value.
+    /// The raw value: the never-reused sequence number.
     pub const fn get(self) -> u64 {
-        self.0
+        self.seq
+    }
+
+    fn new(seq: u64, index: usize) -> Self {
+        let idx = u32::try_from(index + 1).expect("page table fits u32 indices");
+        PageHandle {
+            seq,
+            idx: NonZeroU32::new(idx).expect("index + 1 > 0"),
+        }
+    }
+
+    fn index(self) -> usize {
+        self.idx.get() as usize - 1
     }
 }
 
 impl fmt::Debug for PageHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "page:{}", self.0)
+        write!(f, "page:{}", self.seq)
     }
 }
 
@@ -97,21 +123,29 @@ struct Granted {
     record: BufferRecord,
     pool: PoolKind,
     slots: SlotMap,
-    /// Live handles in this buffer. Unordered — every iteration site
-    /// sorts explicitly so revocation and loss outcomes stay
-    /// deterministic.
-    pages: FastSet<PageHandle>,
+}
+
+/// `Entry::seq` of a vacant page-table entry; no handle ever gets it.
+const VACANT: u64 = u64::MAX;
+
+/// One page-table entry: the live handle's `seq` and its location.
+#[derive(Clone, Copy)]
+struct Entry {
+    seq: u64,
+    loc: PageLoc,
 }
 
 /// The per-server agent state.
 pub struct RemoteMemManager {
     server: ServerId,
     granted: BTreeMap<BufferId, Granted>,
-    /// Handle → location. On the page-fault path this is hit several
-    /// times per fault (locate, victim lookup, rewrite), so it uses the
-    /// deterministic fast-hash map; it is never iterated.
-    pages: FastMap<PageHandle, PageLoc>,
-    next_handle: u64,
+    /// The page table, indexed by [`PageHandle`]'s `idx`. The fault path
+    /// hits it several times per fault (locate, victim lookup, rewrite),
+    /// each one bounds-checked read plus a `seq` compare.
+    table: Vec<Entry>,
+    /// Vacant table indices, reused last-in first-out.
+    free: Vec<u32>,
+    next_seq: u64,
     backup_pages_written: u64,
     /// The asynchronous local-storage mirror's *contents*, kept only for
     /// pages placed through the data-carrying path (timing-only paths
@@ -125,8 +159,9 @@ impl RemoteMemManager {
         RemoteMemManager {
             server,
             granted: BTreeMap::new(),
-            pages: FastMap::default(),
-            next_handle: 0,
+            table: Vec::new(),
+            free: Vec::new(),
+            next_seq: 0,
             backup_pages_written: 0,
             backup_store: BTreeMap::new(),
         }
@@ -145,7 +180,6 @@ impl RemoteMemManager {
                 record,
                 pool,
                 slots: SlotMap::new(record.id),
-                pages: FastSet::default(),
             },
         );
     }
@@ -198,20 +232,43 @@ impl RemoteMemManager {
             .find(|g| g.pool == pool && g.slots.free_slots() > 0)
             .ok_or(ManagerError::NoRemoteCapacity(pool))?;
         let slot = g.slots.take().expect("free_slots > 0");
-        let handle = PageHandle(self.next_handle);
-        self.next_handle += 1;
-        g.pages.insert(handle);
-        self.pages.insert(handle, PageLoc::Remote(slot));
+        let entry = Entry {
+            seq: self.next_seq,
+            loc: PageLoc::Remote(slot),
+        };
+        self.next_seq += 1;
+        let index = match self.free.pop() {
+            Some(i) => {
+                self.table[i as usize] = entry;
+                i as usize
+            }
+            None => {
+                self.table.push(entry);
+                self.table.len() - 1
+            }
+        };
         self.backup_pages_written += 1; // Async local mirror.
-        Ok((handle, slot))
+        Ok((PageHandle::new(entry.seq, index), slot))
+    }
+
+    /// The table entry of a live handle.
+    fn entry(&self, handle: PageHandle) -> Result<&Entry, ManagerError> {
+        match self.table.get(handle.index()) {
+            Some(e) if e.seq == handle.seq => Ok(e),
+            _ => Err(ManagerError::UnknownHandle(handle)),
+        }
+    }
+
+    fn entry_mut(&mut self, handle: PageHandle) -> Result<&mut Entry, ManagerError> {
+        match self.table.get_mut(handle.index()) {
+            Some(e) if e.seq == handle.seq => Ok(e),
+            _ => Err(ManagerError::UnknownHandle(handle)),
+        }
     }
 
     /// Where a page's bytes currently are.
     pub fn locate(&self, handle: PageHandle) -> Result<PageLoc, ManagerError> {
-        self.pages
-            .get(&handle)
-            .copied()
-            .ok_or(ManagerError::UnknownHandle(handle))
+        self.entry(handle).map(|e| e.loc)
     }
 
     /// Rewrites an existing page in place (the hypervisor re-demoting a
@@ -224,9 +281,7 @@ impl RemoteMemManager {
     /// Records the mirror *contents* for a data-carrying page (the async
     /// local-storage write the paper describes, with the bytes retained).
     pub fn store_backup(&mut self, handle: PageHandle, data: &[u8]) -> Result<(), ManagerError> {
-        if !self.pages.contains_key(&handle) {
-            return Err(ManagerError::UnknownHandle(handle));
-        }
+        self.entry(handle)?;
         self.backup_store.insert(handle, data.into());
         Ok(())
     }
@@ -240,49 +295,57 @@ impl RemoteMemManager {
     /// without a reclaim handshake). The slot bookkeeping of the dead
     /// buffer is dropped silently — the buffer itself is gone.
     pub fn downgrade_to_backup(&mut self, handle: PageHandle) -> Result<(), ManagerError> {
-        let loc = self
-            .pages
-            .get_mut(&handle)
-            .ok_or(ManagerError::UnknownHandle(handle))?;
-        if let PageLoc::Remote(slot) = *loc {
+        let e = self.entry_mut(handle)?;
+        if let PageLoc::Remote(slot) = e.loc {
+            e.loc = PageLoc::LocalBackup;
             if let Some(g) = self.granted.get_mut(&slot.buffer) {
                 g.slots.release(slot);
-                g.pages.remove(&handle);
             }
-            *loc = PageLoc::LocalBackup;
         }
         Ok(())
     }
 
+    /// The live pages whose slot lies in one of `buffers`, in handle
+    /// order. A scan of the whole table: only revocations and crashes
+    /// ask, never the fault path.
+    fn pages_in(&self, buffers: &[BufferId]) -> BTreeSet<PageHandle> {
+        self.table
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| match e.loc {
+                PageLoc::Remote(slot) if e.seq != VACANT && buffers.contains(&slot.buffer) => {
+                    Some(PageHandle::new(e.seq, i))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Drops a granted buffer whose host vanished: every page in it
     /// downgrades to its local backup (no relocation — there was no
-    /// reclaim handshake to copy anything). Returns the affected pages.
+    /// reclaim handshake to copy anything). Returns the affected pages
+    /// in placement order.
     pub fn lose_buffer(&mut self, buffer: BufferId) -> Result<Vec<PageHandle>, ManagerError> {
-        let g = self
-            .granted
+        self.granted
             .remove(&buffer)
             .ok_or(ManagerError::UnknownBuffer(buffer))?;
-        let mut lost: Vec<PageHandle> = g.pages.into_iter().collect();
-        // The set is unordered; callers observe this list, so pin the
-        // order the old ordered set produced.
-        lost.sort_unstable();
+        let lost: Vec<PageHandle> = self.pages_in(&[buffer]).into_iter().collect();
         for h in &lost {
-            self.pages.insert(*h, PageLoc::LocalBackup);
+            self.table[h.index()].loc = PageLoc::LocalBackup;
         }
         Ok(lost)
     }
 
     /// Frees a page (e.g. after promoting it back to local RAM).
     pub fn free_page(&mut self, handle: PageHandle) -> Result<(), ManagerError> {
-        let loc = self
-            .pages
-            .remove(&handle)
-            .ok_or(ManagerError::UnknownHandle(handle))?;
+        let e = self.entry_mut(handle)?;
+        let loc = e.loc;
+        e.seq = VACANT;
+        self.free.push(handle.index() as u32);
         self.backup_store.remove(&handle);
         if let PageLoc::Remote(slot) = loc {
             if let Some(g) = self.granted.get_mut(&slot.buffer) {
                 g.slots.release(slot);
-                g.pages.remove(&handle);
             }
         }
         Ok(())
@@ -295,7 +358,7 @@ impl RemoteMemManager {
             .granted
             .get(&buffer)
             .ok_or(ManagerError::UnknownBuffer(buffer))?;
-        if !g.pages.is_empty() {
+        if !g.slots.is_empty() {
             return Err(ManagerError::BufferBusy(buffer));
         }
         self.granted.remove(&buffer);
@@ -313,21 +376,20 @@ impl RemoteMemManager {
     /// Handles a `US_reclaim(buff_IDs)` revoking several buffers at once.
     /// All victims leave the granted set *before* any page is re-placed,
     /// so pages never relocate into a sibling that is itself being
-    /// revoked.
+    /// revoked. Pages re-place in placement order.
     pub fn revoke_many(&mut self, buffers: &[BufferId]) -> Result<Revocation, ManagerError> {
-        let mut displaced = BTreeSet::new();
-        let mut victims = Vec::with_capacity(buffers.len());
         for b in buffers {
             if !self.granted.contains_key(b) {
                 return Err(ManagerError::UnknownBuffer(*b));
             }
         }
+        let pool = buffers
+            .first()
+            .map_or(PoolKind::Ext, |b| self.granted[b].pool);
         for b in buffers {
-            let victim = self.granted.remove(b).expect("validated above");
-            displaced.extend(victim.pages.iter().copied());
-            victims.push(victim);
+            self.granted.remove(b).expect("validated above");
         }
-        let pool = victims.first().map(|v| v.pool).unwrap_or(PoolKind::Ext);
+        let displaced = self.pages_in(buffers);
         let mut outcome = Revocation::default();
         self.replace_pages(displaced, pool, &mut outcome);
         Ok(outcome)
@@ -342,25 +404,20 @@ impl RemoteMemManager {
         for handle in displaced {
             // Try any remaining buffer, preferring the same pool (lowest
             // buffer id first for determinism).
-            let key = self
+            let new_slot = self
                 .granted
-                .iter()
+                .iter_mut()
                 .filter(|(_, g)| g.slots.free_slots() > 0)
                 .min_by_key(|(id, g)| (g.pool != pool, **id))
-                .map(|(id, _)| *id);
-            let new_slot = key.map(|k| {
-                let g = self.granted.get_mut(&k).expect("key from live scan");
-                let slot = g.slots.take().expect("free_slots > 0");
-                g.pages.insert(handle);
-                slot
-            });
+                .map(|(_, g)| g.slots.take().expect("free_slots > 0"));
+            let loc = &mut self.table[handle.index()].loc;
             match new_slot {
                 Some(slot) => {
-                    self.pages.insert(handle, PageLoc::Remote(slot));
+                    *loc = PageLoc::Remote(slot);
                     outcome.relocated.push((handle, slot));
                 }
                 None => {
-                    self.pages.insert(handle, PageLoc::LocalBackup);
+                    *loc = PageLoc::LocalBackup;
                     outcome.fell_back.push(handle);
                 }
             }
@@ -374,7 +431,49 @@ impl RemoteMemManager {
 
     /// Number of live page handles.
     pub fn live_pages(&self) -> u64 {
-        self.pages.len() as u64
+        (self.table.len() - self.free.len()) as u64
+    }
+
+    /// Checks the page table against the buffers' slot maps: every
+    /// granted buffer's used-slot count equals the live entries pointing
+    /// into it, no two live entries share a slot, no live entry points
+    /// outside the granted buffers, and [`Self::live_pages`] counts
+    /// exactly the live entries.
+    pub fn validate(&self) -> Result<(), String> {
+        let mut used: BTreeMap<BufferId, u64> = BTreeMap::new();
+        let mut slots = BTreeSet::new();
+        let mut live = 0u64;
+        for (i, e) in self.table.iter().enumerate() {
+            if e.seq == VACANT {
+                continue;
+            }
+            live += 1;
+            if let PageLoc::Remote(slot) = e.loc {
+                if !self.granted.contains_key(&slot.buffer) {
+                    return Err(format!("entry {i} points into ungranted {:?}", slot.buffer));
+                }
+                if !slots.insert((slot.buffer, slot.slot)) {
+                    return Err(format!("entry {i} shares {slot:?} with another page"));
+                }
+                *used.entry(slot.buffer).or_default() += 1;
+            }
+        }
+        for (id, g) in &self.granted {
+            let pages = used.get(id).copied().unwrap_or(0);
+            if g.slots.used_slots() != pages {
+                return Err(format!(
+                    "{id:?}: {} slots used, {pages} live pages",
+                    g.slots.used_slots()
+                ));
+            }
+        }
+        if live != self.live_pages() {
+            return Err(format!(
+                "{live} live entries, live_pages says {}",
+                self.live_pages()
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -475,6 +574,34 @@ mod tests {
         );
         // Freeing a fallback page is fine.
         m.free_page(h).unwrap();
+    }
+
+    #[test]
+    fn stale_handle_is_unknown_after_its_index_is_reused() {
+        let mut m = RemoteMemManager::new(ServerId::new(0));
+        let recs = granted_records(1);
+        m.grant(recs[0], PoolKind::Ext);
+        let (old, _) = m.place_page(PoolKind::Ext).unwrap();
+        m.free_page(old).unwrap();
+        let (new, slot) = m.place_page(PoolKind::Ext).unwrap();
+        assert_eq!(new.index(), old.index(), "the table index is reused");
+        assert!(new > old, "handles order by placement");
+        assert_eq!(format!("{old:?} {new:?}"), "page:0 page:1");
+        for stale in [
+            m.locate(old).err(),
+            m.note_rewrite(old).err(),
+            m.downgrade_to_backup(old).err(),
+            m.free_page(old).err(),
+        ] {
+            assert_eq!(stale, Some(ManagerError::UnknownHandle(old)));
+        }
+        assert_eq!(m.locate(new), Ok(PageLoc::Remote(slot)));
+        assert_eq!(m.validate(), Ok(()));
+    }
+
+    #[test]
+    fn optional_handle_fits_in_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Option<PageHandle>>(), 16);
     }
 
     #[test]

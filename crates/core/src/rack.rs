@@ -919,30 +919,28 @@ impl Rack {
 
     /// Fetches several pages in one pipelined batch — the swap-readahead
     /// data path. Remote pages ride a single posted batch (one base
-    /// latency total); backup-resident pages pay the device serially.
-    /// No slots are freed (prefetched pages keep their clean copies).
+    /// latency total), staged in `batch` and drained as
+    /// [`Rack::issue_demand_batch`] does; backup-resident pages pay the
+    /// device serially. No slots are freed (prefetched pages keep their
+    /// clean copies).
     pub fn fetch_pages_batch(
         &mut self,
         user: ServerId,
-        handles: &[PageHandle],
+        handles: impl IntoIterator<Item = PageHandle>,
+        batch: &mut DemandFetchBatch,
     ) -> Result<SimDuration, RackError> {
-        let user_node = self.entry(user)?.node;
-        let mgr = &self.managers[user.get() as usize];
-        let mut reads = Vec::with_capacity(handles.len());
+        let mgr = &self.managers[self.server_index(user)?];
         let mut backup_reads = 0u64;
-        for &h in handles {
+        for h in handles {
             match mgr.locate(h)? {
                 PageLoc::Remote(slot) => {
                     let mr = mgr.buffer_record(slot.buffer)?.mr;
-                    reads.push((mr, slot.offset(), Bytes::new(PAGE_SIZE)));
+                    batch.reads.push((mr, slot.offset(), Bytes::new(PAGE_SIZE)));
                 }
                 PageLoc::LocalBackup => backup_reads += 1,
             }
         }
-        let batch = self.fabric.read_batch_timed(user_node, &reads)?;
-        let payload = Bytes::new(PAGE_SIZE * reads.len() as u64);
-        let batch = self.backend().batch_read_time(batch, reads.len(), payload);
-        Ok(batch + self.config.backup_read_4k * backup_reads)
+        Ok(self.issue_demand_batch(user, batch)? + self.config.backup_read_4k * backup_reads)
     }
 
     /// Stages one demand-fault fetch into `batch`, returning the page's

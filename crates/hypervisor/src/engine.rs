@@ -83,8 +83,8 @@ pub struct EngineConfig {
     pub seed: u64,
     /// Swap readahead window: on a remote fault, up to this many
     /// *adjacent* remote pages are prefetched in one pipelined RDMA batch
-    /// (0 disables; only free frames are used, never evictions — the
-    /// Linux swap-readahead discipline).
+    /// (0 disables). Prefetch takes free frames first and evicts cold
+    /// ones when none are left, as Linux swap readahead may reclaim.
     pub readahead: u32,
 }
 
@@ -231,8 +231,9 @@ struct Engine<'a> {
     frames: FrameAllocator,
     list: FaultList,
     /// RAM-Ext/remote mode: the rack handle of each demoted (or
-    /// clean-copied) guest page, indexed densely by frame number — every
-    /// fault-path lookup is one array access instead of a tree walk.
+    /// clean-copied) guest page, indexed by guest frame number. A handle
+    /// carries its index in the manager's page table, so a fault resolves
+    /// a page's slot with two array reads and no hashing.
     handles: Vec<Option<PageHandle>>,
     /// Local pages that still have a valid (clean) remote copy.
     clean_copies: GfnSet,
@@ -243,9 +244,11 @@ struct Engine<'a> {
     clear_interval: u64,
     wss: WssEstimator,
     wss_round_open: bool,
-    /// Staged demand-fault reads awaiting one posted fabric batch
-    /// (drained by every coalesced run; reused across runs).
+    /// Staged reads awaiting one posted fabric batch (drained by every
+    /// coalesced demand run and every readahead; reused across runs).
     demand_batch: DemandFetchBatch,
+    /// The readahead window's picks, `(page, frame)`; reused per fault.
+    prefetch: Vec<(Gfn, zombieland_mem::FrameId)>,
     /// Run-local (fault-latency ns → sample count) pairs, flushed to the
     /// `hv.fault_ns` obs histogram once per access batch instead of once
     /// per fault. Fault latencies take a handful of distinct values per
@@ -392,6 +395,7 @@ fn run_ops_impl(
         // worth of accesses (the paper's "periodically cleared").
         clear_interval: local_pages.count().max(1024),
         demand_batch: DemandFetchBatch::new(),
+        prefetch: Vec::new(),
         fault_ns_pending: Vec::new(),
         obs_metrics: zombieland_obs::sink::metrics_enabled(),
     };
@@ -469,6 +473,7 @@ fn run_ops_impl(
                 let _ = rack.free_page(user, handle);
             }
         }
+        debug_assert_eq!(rack.manager(user).validate(), Ok(()));
     }
     SCRATCH.with(|s| {
         *s.borrow_mut() = Scratch {
@@ -784,16 +789,17 @@ impl Engine<'_> {
         }
     }
 
-    /// Prefetches up to `readahead` pages adjacent to a faulting one,
-    /// using only *free* frames (never evicting) and one pipelined batch.
+    /// Prefetches up to `readahead` remote pages adjacent to a faulting
+    /// one in one pipelined batch. Like the kernel's swap readahead it
+    /// takes free frames first and then evicts cold ones, so the window
+    /// bounds how many victims one fault can demote.
     fn readahead(&mut self, gfn: Gfn) -> Result<SimDuration, EngineError> {
         let Backing::Rack { .. } = self.backing else {
             // Device readahead would model the disk elevator; the paper's
             // comparison doesn't need it.
             return Ok(SimDuration::ZERO);
         };
-        let mut picked = Vec::new();
-        let mut frames = Vec::new();
+        self.prefetch.clear();
         let size = self.gpt.size().count();
         for i in 1..=self.cfg.readahead as u64 {
             let next = gfn.get() + i;
@@ -804,30 +810,23 @@ impl Engine<'_> {
             if !matches!(self.gpt.locate(g), Ok(PageLocation::Remote(_))) {
                 continue;
             }
-            // Like the kernel's swap readahead, prefetch may reclaim cold
-            // frames to make room — bounded by the window size.
-            let frame = match self.frames.alloc() {
-                Ok(f) => f,
-                Err(_) => match self.take_frame() {
-                    Ok(f) => f,
-                    Err(_) => break,
-                },
+            let Ok(frame) = self.take_frame() else {
+                break;
             };
-            picked.push(g);
-            frames.push(frame);
+            self.prefetch.push((g, frame));
         }
-        if picked.is_empty() {
+        if self.prefetch.is_empty() {
             return Ok(SimDuration::ZERO);
         }
         let Backing::Rack { rack, user, .. } = &mut self.backing else {
             unreachable!("checked above");
         };
-        let handles: Vec<_> = picked
+        let handles = self
+            .prefetch
             .iter()
-            .map(|g| self.handles[g.get() as usize].expect("remote pages have handles"))
-            .collect();
-        let io = rack.fetch_pages_batch(*user, &handles)?;
-        for (g, frame) in picked.into_iter().zip(frames) {
+            .map(|(g, _)| self.handles[g.get() as usize].expect("remote pages have handles"));
+        let io = rack.fetch_pages_batch(*user, handles, &mut self.demand_batch)?;
+        for &(g, frame) in &self.prefetch {
             self.gpt.promote(g, frame).expect("was remote");
             // Prefetched pages were not demanded: leave accessed clear so
             // the policy can reclaim them if the guess was wrong.

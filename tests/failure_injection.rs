@@ -30,6 +30,7 @@ fn zombie_crash_degrades_but_never_loses_pages() {
 
     let lost = rack.crash_server(zombies[0]).unwrap();
     assert!(lost > 0, "the dead zombie served pages");
+    rack.manager(user).validate().unwrap();
 
     let mut backup_served = 0;
     for &h in &handles {
@@ -40,6 +41,7 @@ fn zombie_crash_degrades_but_never_loses_pages() {
         }
     }
     assert_eq!(backup_served as u64, lost);
+    rack.manager(user).validate().unwrap();
 
     // New placements keep landing on the surviving zombie.
     let (h, _) = rack.place_page(user, PoolKind::Ext).unwrap();
@@ -81,10 +83,12 @@ fn controller_then_zombie_crash() {
     rack.crash_primary();
     assert!(rack.check_failover(SimTime::ZERO + SimDuration::from_secs(60)));
     rack.crash_server(zombies[1]).unwrap();
+    rack.manager(user).validate().unwrap();
 
     for &h in &handles {
         rack.fetch_page(user, h, false).expect("still reachable");
     }
+    rack.manager(user).validate().unwrap();
     // The purged host no longer appears in the database.
     assert!(rack.db().buffers_of_host(zombies[1]).is_empty());
 }
@@ -95,10 +99,12 @@ fn crashed_zombie_can_rejoin_after_reboot() {
     let (mut rack, user, zombies) = rack_with_two_zombies();
     rack.alloc_ext(user, Bytes::gib(1)).unwrap();
     rack.crash_server(zombies[0]).unwrap();
+    rack.manager(user).validate().unwrap();
 
     // Reboot: wake the platform (S5-ish path is modeled by wake) and lend
     // again.
     rack.wake(zombies[0], None).unwrap();
+    rack.manager(user).validate().unwrap();
     let z = rack.goto_zombie(zombies[0]).unwrap();
     assert!(!z.buffers.is_empty());
     assert!(rack.db().is_zombie(zombies[0]));

@@ -15,8 +15,16 @@
 //! ```text
 //! ZL_DC_SERVERS=48 ZL_DC_DAYS=1 zombieland-cli experiment fig10 --jobs 2
 //! ZL_SCALE=0.04    zombieland-cli experiment table1 --jobs 2
+//! ZL_SCALE=0.04    zombieland-cli experiment fig8 --jobs 2
+//! ZL_SCALE=0.04    zombieland-cli experiment table2 --jobs 2
 //! ```
+//!
+//! Fig. 8 and Table 2 pin the paging engine and the remote-memory
+//! manager: every fault-path change (page table, eviction, batching)
+//! must keep their bytes, Table 2's Explicit-SD column through the
+//! rack's swap pool.
 
+use zombieland::hypervisor::Policy;
 use zombieland_bench::experiments;
 
 /// Fig. 10 at the 48-server × 1-day grid renders the exact pre-change
@@ -43,5 +51,36 @@ fn table1_bytes_match_prechange_golden() {
     assert_eq!(
         rendered, golden,
         "Table 1 report bytes drifted from the pre-optimization golden"
+    );
+}
+
+/// Fig. 8 at scale 0.04 renders the exact pre-change bytes.
+#[test]
+fn figure8_bytes_match_prechange_golden() {
+    let sweep = |policy| experiments::figure8_jobs(policy, 0.04, 2);
+    let rendered = experiments::render_figure8(
+        &sweep(Policy::Fifo),
+        &sweep(Policy::Clock),
+        &sweep(Policy::MIXED_DEFAULT),
+    );
+    let golden = include_str!("golden/fig8_s004.txt");
+    assert_eq!(
+        rendered, golden,
+        "Fig. 8 report bytes drifted from the pre-change golden"
+    );
+}
+
+/// Table 2 (all four workloads) at scale 0.04 renders the exact
+/// pre-change bytes.
+#[test]
+fn table2_bytes_match_prechange_golden() {
+    let rendered: String = experiments::WORKLOADS
+        .iter()
+        .map(|w| experiments::render_table2(w, &experiments::table2_jobs(w, 0.04, 2)))
+        .collect();
+    let golden = include_str!("golden/table2_s004.txt");
+    assert_eq!(
+        rendered, golden,
+        "Table 2 report bytes drifted from the pre-change golden"
     );
 }
