@@ -9,14 +9,15 @@
 //!
 //! # Decision scans
 //!
-//! Host state lives in a struct-of-arrays [`Hosts`] table beside four
-//! index sets: `active`, the blocked stacking order `stack`, `zombies`
-//! and `sleeping`. Every decision is one serial scan over one of them.
-//! Admission and migration ([`Fit`]) are first-fit walks along the
-//! stacking order; the four other scans ([`Pick`]) walk an index set in
-//! ascending host order. Under [`Dc::validate_on`] each answer is
-//! checked against a walk that uses neither the indexes nor their
-//! shortcuts.
+//! Host state lives in a struct-of-arrays [`Hosts`] table beside three
+//! index sets: the blocked stacking order `stack` of the active hosts,
+//! `zombies` and `sleeping`. Every decision is one serial scan over one
+//! of them. Admission and migration ([`Fit`]) are first-fit walks along
+//! the stacking order; the four other scans ([`Pick`]) take the
+//! least-used active host from the stacking order's hosts or walk the
+//! zombie and sleeping sets in ascending host order. Under
+//! [`Dc::validate_on`] each answer is checked against a walk that uses
+//! neither the indexes nor their shortcuts.
 
 use core::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -231,15 +232,22 @@ pub(crate) struct Dc {
     pub(crate) energy: Joules,
     pub(crate) last: SimTime,
     pub(crate) report: SimReport,
-    /// Active hosts, ascending index.
-    active: BTreeSet<usize>,
     /// Active hosts keyed by `(booked_key(cpu_booked), index)` — the
     /// stacking preference order, in summarized blocks, each entry with
-    /// a copy of its host's load. The key is built from the host's exact
-    /// stored bits at index time; `update_host` repositions entries
-    /// whenever the value changes and refreshes an entry's load (and its
-    /// block's summary) whenever a host's usage or memory does.
+    /// a copy of its host's load. Membership follows state changes
+    /// eagerly ([`Dc::index_host`]); a load change only marks its host
+    /// in [`Dc::stack_dirty`], and [`Dc::drain_stack`] files it under its
+    /// live key and load before the next walk reads the order.
     stack: StackOrder,
+    /// The booked key each active host is filed under in [`Dc::stack`]
+    /// (exact stored bits at filing time).
+    stack_key: Vec<u64>,
+    /// Active hosts whose booking, usage or local memory changed since
+    /// the last [`Dc::drain_stack`] (deduplicated by
+    /// [`Dc::stack_dirty_flag`]).
+    stack_dirty: Vec<usize>,
+    /// Membership flags for [`Dc::stack_dirty`].
+    stack_dirty_flag: Vec<bool>,
     /// Zombie hosts, ascending index (the wake and demotion candidates).
     zombies: BTreeSet<usize>,
     /// Sleeping (S3) hosts, ascending index.
@@ -385,8 +393,10 @@ impl Dc {
                 peak_queue: 0,
                 timeline: Vec::new(),
             },
-            active: (0..n).collect(),
             stack: StackOrder::default(),
+            stack_key: vec![booked_key(0.0); n],
+            stack_dirty: Vec::new(),
+            stack_dirty_flag: vec![false; n],
             zombies: BTreeSet::new(),
             sleeping: BTreeSet::new(),
             zombies_by_rack: vec![BTreeSet::new(); cfg.racks as usize],
@@ -450,25 +460,24 @@ impl Dc {
         f(self.hosts.view_mut(h));
         let after = self.host_power(h);
         let state_after = self.hosts.state[h];
-        let booked_after = self.hosts.cpu_booked[h];
         if state_before != state_after {
             self.state_counts[state_index(state_before)] -= 1;
             self.state_counts[state_index(state_after)] += 1;
-            self.index_host(h, state_before, state_after, booked_before, booked_after);
+            self.index_host(h, state_before, state_after);
         } else if state_after == HState::Active {
-            let used_changed = self.hosts.cpu_used[h].total_cmp(&used_before) != Ordering::Equal;
-            if booked_after.total_cmp(&booked_before) != Ordering::Equal {
-                // total_cmp (not `!=`) so a -0.0/+0.0 flip still repositions
-                // and the stored key always matches the host's exact bits.
-                let removed = self.stack.remove((booked_key(booked_before), h));
-                debug_assert!(removed, "active host indexed under its old booked key");
-                self.stack
-                    .insert((booked_key(booked_after), h), self.hosts.load(h));
-            } else if used_changed
-                || self.hosts.mem_local[h].total_cmp(&mem_before) != Ordering::Equal
+            // total_cmp (not `!=`) so a -0.0/+0.0 flip still re-files and
+            // the filed key always matches the host's exact bits.
+            let changed = |now: f64, before: f64| now.total_cmp(&before) != Ordering::Equal;
+            let used_changed = changed(self.hosts.cpu_used[h], used_before);
+            if (used_changed
+                || changed(self.hosts.cpu_booked[h], booked_before)
+                || changed(self.hosts.mem_local[h], mem_before))
+                && !self.stack_dirty_flag[h]
             {
-                self.stack
-                    .refresh((booked_key(booked_after), h), self.hosts.load(h));
+                // Lazy: the stacking order files the host once, at the
+                // next walk, however often it changes before then.
+                self.stack_dirty_flag[h] = true;
+                self.stack_dirty.push(h);
             }
             if used_changed && !self.used_dirty_flag[h] {
                 // Lazy: the ordered `by_used` key is repositioned at the
@@ -482,13 +491,14 @@ impl Dc {
     }
 
     /// Moves `h` between the index sets on a state change.
-    fn index_host(&mut self, h: usize, from: HState, to: HState, booked_old: f64, booked_new: f64) {
+    fn index_host(&mut self, h: usize, from: HState, to: HState) {
         let rack = self.hosts.rack[h];
         match from {
             HState::Active => {
-                self.active.remove(&h);
-                let removed = self.stack.remove((booked_key(booked_old), h));
-                debug_assert!(removed, "active host indexed under its old booked key");
+                // Under the key it was filed with, which a booking change
+                // since the last drain has not touched.
+                let removed = self.stack.remove((self.stack_key[h], h));
+                debug_assert!(removed, "active host indexed under its filed booked key");
                 // Membership is eager even though key *values* are lazy:
                 // the stored key is whatever `used_key` last recorded.
                 let removed = self.by_used.remove(&(self.used_key[h], h));
@@ -505,9 +515,9 @@ impl Dc {
         }
         match to {
             HState::Active => {
-                self.active.insert(h);
-                self.stack
-                    .insert((booked_key(booked_new), h), self.hosts.load(h));
+                let key = booked_key(self.hosts.cpu_booked[h]);
+                self.stack.insert((key, h), self.hosts.load(h));
+                self.stack_key[h] = key;
                 // Re-sync the used key eagerly on (re)activation so the
                 // entry is live even if no further load change follows.
                 let key = total_key(self.hosts.cpu_used[h]);
@@ -523,6 +533,37 @@ impl Dc {
                 self.sleeping.insert(h);
             }
         }
+    }
+
+    /// Files each host of [`Dc::stack_dirty`] that is still active under
+    /// its live key and load, once: a host re-booked several times since
+    /// the last drain, or booked and rolled back, moves once or not at
+    /// all. One that left the active set since left the order under its
+    /// filed key, and a later activation filed it afresh.
+    fn drain_stack(&mut self) {
+        if self.stack_dirty.is_empty() {
+            return;
+        }
+        let (mut refiled, mut in_place) = (0, 0);
+        let mut dirty = std::mem::take(&mut self.stack_dirty);
+        for h in dirty.drain(..) {
+            self.stack_dirty_flag[h] = false;
+            if self.hosts.state[h] != HState::Active {
+                continue;
+            }
+            let (filed, key) = (self.stack_key[h], booked_key(self.hosts.cpu_booked[h]));
+            let load = self.hosts.load(h);
+            if key == filed {
+                self.stack.refresh((key, h), load);
+            } else {
+                in_place += u64::from(self.stack.rekey((filed, h), (key, h), load));
+                self.stack_key[h] = key;
+            }
+            refiled += 1;
+        }
+        self.stack_dirty = dirty;
+        zombieland_obs::sink::counter_add("sim.stack.refiled", refiled);
+        zombieland_obs::sink::counter_add("sim.stack.moved_in_place", in_place);
     }
 
     /// Marks `rack`'s cached pool stale: its zombie set, a zombie's
@@ -737,10 +778,13 @@ impl Dc {
     /// snapshot serves the whole walk, which starts at the policy's
     /// ceiling seek ([`seek_key`]: every host before it fails the
     /// booked ceiling), skips each block whose best case the policy
-    /// rejects and judges each host on its filed load. Under
-    /// [`Dc::validate_on`] the pick must equal a walk from the first
-    /// entry that judges every host on its live load.
+    /// rejects and judges each host on its filed load, once
+    /// [`Dc::drain_stack`] has filed every change. Under
+    /// [`Dc::validate_on`] the pick must equal the first passing host,
+    /// judged on its live load, of the active hosts ordered afresh by
+    /// their live booking — a reference that reads no filing.
     fn first_fit(&mut self, fit: Fit) -> Option<usize> {
+        self.drain_stack();
         self.sync_pools();
         let policy = self.cfg.policy;
         let (from, examined, skipped) = match fit {
@@ -764,11 +808,14 @@ impl Dc {
             |i, load| self.fit_passes(&fit, i, load),
         );
         if self.validate_on {
-            let full = self
-                .stack
-                .iter()
-                .map(|(_, i)| i)
-                .find(|&i| self.fit_passes(&fit, i, &self.hosts.load(i)));
+            // The least `(booked_key, index)` that passes is the first
+            // pass of the walk in that order.
+            let full = (0..self.hosts.len())
+                .filter(|&i| {
+                    self.hosts.state[i] == HState::Active
+                        && self.fit_passes(&fit, i, &self.hosts.load(i))
+                })
+                .min_by_key(|&i| (booked_key(self.hosts.cpu_booked[i]), i));
             assert_eq!(
                 walk.host, full,
                 "the seek or a block skip changed the answer to {fit:?}"
@@ -801,13 +848,24 @@ impl Dc {
     }
 
     /// Picks a host for `pick` from the index set that holds its
-    /// candidates: the zombies for the zombie picks, the lower of the
-    /// first zombie and the first sleeper for `Sleeping`. Under
-    /// [`Dc::validate_on`] the pick must equal the naive walk over the
-    /// whole fleet.
+    /// candidates: the stacking order's hosts for `LeastUsed`, the
+    /// zombies for the zombie picks, the lower of the first zombie and
+    /// the first sleeper for `Sleeping`. Under [`Dc::validate_on`] the
+    /// pick must equal the naive walk over the whole fleet.
     fn pick(&self, pick: Pick) -> Option<usize> {
         let host = match pick {
-            Pick::LeastUsed => self.pick_among(pick, self.active.iter().copied()),
+            Pick::LeastUsed => {
+                // The least `(cpu_used, index)`: the host the ascending
+                // strict-`<` walk keeps, in any visiting order.
+                let used = &self.hosts.cpu_used;
+                self.stack.iter().map(|(_, i)| i).reduce(|best, i| {
+                    if used[i] < used[best] || (used[i] == used[best] && i < best) {
+                        i
+                    } else {
+                        best
+                    }
+                })
+            }
             Pick::WakeZombie | Pick::IdleZombie => {
                 self.pick_among(pick, self.zombies.iter().copied())
             }
@@ -1016,13 +1074,18 @@ impl Dc {
     /// Invariant sweep: VM lists, booked sums, pool accounting and the
     /// index sets all agree. O(hosts × vms), so it runs only
     /// when [`validate_enabled`] says so (debug builds by default, the
-    /// scenario `validate` switch opts release builds in).
-    fn validate(&self) {
-        let mut host_vms = 0usize;
+    /// scenario `validate` switch opts release builds in). It files the
+    /// stacking order's pending changes first, so every filing is
+    /// checked against the live host table.
+    fn validate(&mut self, trace: &ClusterTrace) {
+        self.drain_stack();
+        let tasks = trace.tasks();
+        let (mut host_vms, mut active) = (0usize, 0u64);
         for i in 0..self.hosts.len() {
             let state = self.hosts.state[i];
             let rack = self.hosts.rack[i];
             host_vms += self.hosts.vms[i].len();
+            active += u64::from(state == HState::Active);
             for &t in &self.hosts.vms[i] {
                 assert_eq!(
                     self.vms[t].as_ref().map(|v| v.host),
@@ -1042,6 +1105,19 @@ impl Dc {
                 "host {i}: mem_local {} but its VMs hold {local}",
                 self.hosts.mem_local[i]
             );
+            // So are its CPU booking and usage, the trace's per VM.
+            let booked: f64 = self.hosts.vms[i].iter().map(|&t| tasks[t].cpu_booked).sum();
+            let used: f64 = self.hosts.vms[i].iter().map(|&t| tasks[t].cpu_used).sum();
+            assert!(
+                (booked - self.hosts.cpu_booked[i]).abs() <= 1e-6,
+                "host {i}: cpu_booked {} but its VMs book {booked}",
+                self.hosts.cpu_booked[i]
+            );
+            assert!(
+                (used - self.hosts.cpu_used[i]).abs() <= 1e-6,
+                "host {i}: cpu_used {} but its VMs use {used}",
+                self.hosts.cpu_used[i]
+            );
             if state != HState::Zombie {
                 assert!(
                     self.hosts.remote_allocated[i] <= 1e-6,
@@ -1050,12 +1126,16 @@ impl Dc {
                     self.hosts.remote_allocated[i]
                 );
             }
-            // The index sets mirror host state exactly.
-            assert_eq!(
-                self.active.contains(&i),
-                state == HState::Active,
-                "host {i}: active-set membership disagrees with {state:?}"
-            );
+            // The index sets mirror host state exactly, and the
+            // stacking order has filed every change.
+            assert!(!self.stack_dirty_flag[i], "host {i}: unfiled after a drain");
+            if state == HState::Active {
+                assert_eq!(
+                    self.stack_key[i],
+                    booked_key(self.hosts.cpu_booked[i]),
+                    "host {i}: filed key drifted from the live booking"
+                );
+            }
             assert_eq!(
                 self.stack
                     .contains((booked_key(self.hosts.cpu_booked[i]), i)),
@@ -1093,15 +1173,16 @@ impl Dc {
         }
         // The stacking order holds exactly the active hosts, in
         // well-formed blocks whose summaries match their hosts.
+        assert_eq!(active, self.state_counts[0], "active-host count drifted");
         assert_eq!(
-            self.stack.len(),
-            self.active.len(),
+            self.stack.len() as u64,
+            active,
             "stacking order covers exactly the active hosts"
         );
         self.stack.check(|i| self.hosts.load(i));
         assert_eq!(
-            self.by_used.len(),
-            self.active.len(),
+            self.by_used.len() as u64,
+            active,
             "used-ordered set covers exactly the active hosts"
         );
         let indexed: usize = self.zombies_by_rack.iter().map(|s| s.len()).sum();
@@ -1230,8 +1311,11 @@ impl Dc {
         }
         self.order_buf = order;
 
+        // Filed here whether or not the sweep runs, so a validating run
+        // files (and counts) exactly what a plain run does.
+        self.drain_stack();
         if self.validate_on {
-            self.validate();
+            self.validate(trace);
         }
 
         // §4.4: "If the global-mem-ctr holds huge amounts of free memory
@@ -1505,6 +1589,41 @@ mod tests {
         dc.update_host(6, |m| *m.state = HState::Active);
         assert_eq!(dc.pick(Pick::IdleZombie), None);
         assert_eq!(dc.pick(Pick::WakeZombie), Some(3));
+    }
+
+    /// A host whose booking changed since the last walk leaves the
+    /// stacking order under the key it was filed with, the next drain
+    /// passes it over, and a reactivation files it under its live key.
+    #[test]
+    fn a_dirty_host_deactivates_before_any_walk() {
+        let mut trace = TraceConfig::small(7);
+        trace.servers = 8;
+        trace.duration = SimDuration::from_hours(1);
+        let trace = ClusterTrace::generate(trace);
+        let cfg = SimConfig::new(PolicyKind::ZombieStack, MachineProfile::hp());
+        let mut dc = Dc::new(&trace, &cfg);
+        dc.validate_on = true;
+        dc.arrive(&trace, 0);
+        let h = dc.vms[0].as_ref().expect("placed").host;
+        let filed = (dc.stack_key[h], h);
+        let live = (booked_key(dc.hosts.cpu_booked[h]), h);
+        assert!(
+            dc.stack_dirty_flag[h] && filed != live,
+            "the arrival is unfiled"
+        );
+        dc.update_host(h, |m| *m.state = HState::Zombie);
+        assert!(!dc.stack.contains(filed) && !dc.stack.contains(live));
+        assert_eq!(dc.stack.len() as u64, dc.state_counts[0]);
+        // The drain skips the departed host; the sweep checks the rest.
+        dc.validate(&trace);
+        assert!(dc.stack_dirty.is_empty());
+        dc.update_host(h, |m| *m.state = HState::Active);
+        assert!(dc.stack.contains(live) && dc.stack_key[h] == live.0);
+        dc.validate(&trace);
+        // Every other host is idle, so the least-used pick is the lowest
+        // of them (and `pick` checks it against the naive walk).
+        assert!(dc.hosts.cpu_used[h] > 0.0);
+        assert_eq!(dc.pick(Pick::LeastUsed), Some(usize::from(h == 0)));
     }
 
     /// The seek's soundness: a host the walk skips (its key sorts before
