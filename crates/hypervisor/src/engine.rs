@@ -255,6 +255,13 @@ struct Engine<'a> {
     /// run (the fabric page cost is a pure function of the page size), so
     /// the list stays tiny.
     fault_ns_pending: Vec<(u64, u64)>,
+    /// Run-local count of posted demand batches by their page count
+    /// (index = pages), rolled up to `hv.demand_batch_pages` at run end.
+    /// Sized only when obs metrics are on.
+    demand_batch_pages: Vec<u64>,
+    /// Demotions the readahead window caused by taking frames, rolled up
+    /// to `hv.readahead.evictions` at run end.
+    readahead_evictions: u64,
     /// Whether the obs metrics sink was on when the run started. The
     /// level is thread-local and nothing inside a run changes it, so one
     /// load up front replaces a per-fault check — `--obs-level off` costs
@@ -397,8 +404,13 @@ fn run_ops_impl(
         demand_batch: DemandFetchBatch::new(),
         prefetch: Vec::new(),
         fault_ns_pending: Vec::new(),
+        demand_batch_pages: Vec::new(),
+        readahead_evictions: 0,
         obs_metrics: zombieland_obs::sink::metrics_enabled(),
     };
+    if engine.obs_metrics {
+        engine.demand_batch_pages.resize(DEMAND_RUN_CAP + 1, 0);
+    }
     drop(setup);
     {
         let _span = zombieland_obs::profile::span(zombieland_obs::profile::Phase::FaultBatch);
@@ -443,6 +455,13 @@ fn run_ops_impl(
         zombieland_obs::sink::counter_add("hv.demotions", s.demotions);
         zombieland_obs::sink::counter_add("hv.clean_demotions", s.clean_demotions);
         zombieland_obs::sink::counter_add("hv.prefetched", s.prefetched);
+        zombieland_obs::sink::counter_add("hv.policy.examined", engine.list.examined());
+        zombieland_obs::sink::counter_add("hv.readahead.evictions", engine.readahead_evictions);
+        for (pages, &n) in engine.demand_batch_pages.iter().enumerate() {
+            if n > 0 {
+                zombieland_obs::sink::hist_record_n("hv.demand_batch_pages", pages as u64, n);
+            }
+        }
         zombieland_obs::sink::gauge_set("hv.wss_pages", s.wss_estimate);
         zombieland_obs::trace_event!(
             zombieland_simcore::SimTime::ZERO + s.exec_time,
@@ -702,6 +721,9 @@ impl Engine<'_> {
             }
             len += 1;
         }
+        if let Some(n) = self.demand_batch_pages.get_mut(len) {
+            *n += 1;
+        }
         for &a in &chunk[..len] {
             let gfn = Gfn::new(a.page);
             self.stats.remote_faults += 1;
@@ -800,6 +822,7 @@ impl Engine<'_> {
             return Ok(SimDuration::ZERO);
         };
         self.prefetch.clear();
+        let demotions = self.stats.demotions;
         let size = self.gpt.size().count();
         for i in 1..=self.cfg.readahead as u64 {
             let next = gfn.get() + i;
@@ -815,6 +838,7 @@ impl Engine<'_> {
             };
             self.prefetch.push((g, frame));
         }
+        self.readahead_evictions += self.stats.demotions - demotions;
         if self.prefetch.is_empty() {
             return Ok(SimDuration::ZERO);
         }
@@ -1199,6 +1223,46 @@ mod tests {
             "batching wins: {} < {}",
             on.exec_time,
             off.exec_time
+        );
+    }
+
+    #[test]
+    fn fault_path_counts_roll_up_once_per_run() {
+        use zombieland_obs::{sink::observe, ObsLevel};
+        let run_spark = |readahead: u32| {
+            let (mut rack, user) = rack_with_pools(Bytes::mib(64), Bytes::ZERO);
+            let mut w = zombieland_workloads::SparkSql::new(wss(), 11);
+            let cfg = EngineConfig {
+                readahead,
+                ..EngineConfig::ram_ext(reserved(), Bytes::mib(4))
+            };
+            let backing = Backing::Rack {
+                rack: &mut rack,
+                user,
+                pool: PoolKind::Ext,
+            };
+            let (stats, obs) = observe(ObsLevel::Summary, || run(&mut w, &cfg, backing).unwrap());
+            (stats, obs.metrics)
+        };
+        // Coalesced demand faults: every remote fault rides one posted
+        // batch, and Mixed reads at most x = 5 entries per pick.
+        let (off, m) = run_spark(0);
+        let batches = m
+            .histogram("hv.demand_batch_pages")
+            .expect("posted batches");
+        assert_eq!(batches.sum, off.remote_faults);
+        assert!(batches.count > 0 && batches.count < off.remote_faults);
+        assert_eq!(m.counter("hv.readahead.evictions"), 0);
+        let examined = m.counter("hv.policy.examined");
+        assert!(examined >= off.policy_invocations && examined <= 5 * off.policy_invocations);
+        // A readahead window posts its own batches and evicts for them.
+        let (on, m) = run_spark(8);
+        assert!(m.histogram("hv.demand_batch_pages").is_none());
+        let evictions = m.counter("hv.readahead.evictions");
+        assert!(
+            evictions > 0 && evictions < on.demotions,
+            "{evictions} of {}",
+            on.demotions
         );
     }
 

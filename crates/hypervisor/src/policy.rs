@@ -89,6 +89,9 @@ pub struct FaultList {
     head: u32,
     tail: u32,
     len: usize,
+    /// Entries whose accessed bit Clock or Mixed examined since creation
+    /// or the last reset.
+    examined: u64,
     rng: DetRng,
 }
 
@@ -109,6 +112,7 @@ impl FaultList {
             head: NIL,
             tail: NIL,
             len: 0,
+            examined: 0,
             rng: DetRng::new(seed),
         }
     }
@@ -129,6 +133,7 @@ impl FaultList {
         self.head = NIL;
         self.tail = NIL;
         self.len = 0;
+        self.examined = 0;
         self.rng = DetRng::new(seed);
     }
 
@@ -192,6 +197,12 @@ impl FaultList {
         self.len
     }
 
+    /// Entries whose accessed bit Clock or Mixed examined since creation
+    /// or the last [`FaultList::reset`] (the `hv.policy.examined` count).
+    pub fn examined(&self) -> u64 {
+        self.examined
+    }
+
     /// Whether no pages are tracked.
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -223,6 +234,7 @@ impl FaultList {
                 for _ in 0..=self.len {
                     let gfn = self.pop_front()?;
                     cycles += cost::EXAMINE;
+                    self.examined += 1;
                     if gpt.accessed(gfn).unwrap_or(false) {
                         let _ = gpt.clear_accessed(gfn);
                         self.push(gfn);
@@ -243,6 +255,7 @@ impl FaultList {
                 for _ in 0..probe {
                     let gfn = self.pop_front()?;
                     cycles += cost::EXAMINE;
+                    self.examined += 1;
                     if gpt.accessed(gfn).unwrap_or(false) {
                         let _ = gpt.clear_accessed(gfn);
                         self.push(gfn);
@@ -318,6 +331,7 @@ mod tests {
         assert!(gpt.accessed(Gfn::new(3)).unwrap(), "never examined");
         // Cost grew with the 3 examinations.
         assert!(c.get() > 3 * 100);
+        assert_eq!(list.examined(), 3);
     }
 
     #[test]
@@ -339,6 +353,7 @@ mod tests {
             .select_victim(Policy::Mixed { x: 5 }, &mut gpt)
             .unwrap();
         assert_eq!(v, Gfn::new(5));
+        assert_eq!(list.examined(), 5);
         // Cost is bounded by x examinations regardless of list length.
         assert!(c.get() < 1_000, "{c:?}");
         // But an un-accessed page within the window is preferred.
@@ -348,6 +363,11 @@ mod tests {
             .select_victim(Policy::Mixed { x: 5 }, &mut gpt2)
             .unwrap();
         assert_eq!(v2, Gfn::new(1));
+        assert_eq!(list2.examined(), 2);
+        list2.select_victim(Policy::Fifo, &mut gpt2).unwrap();
+        assert_eq!(list2.examined(), 2, "FIFO examines nothing");
+        list2.reset(0, 10);
+        assert_eq!(list2.examined(), 0);
     }
 
     #[test]

@@ -41,6 +41,10 @@ pub enum Phase {
     WakeUps,
     /// Periodic timeline sampling at tick events.
     Sampling,
+    /// Filing the stacking order's pending booking and load changes,
+    /// run at the start of the admission or consolidation walk that needs
+    /// them (so a departure's re-filing shows here, not in that walk).
+    StackDrain,
     /// Hypervisor engine setup and teardown around a fault batch.
     HvSetup,
     /// The hypervisor remote-fault batch loop itself.
@@ -59,7 +63,7 @@ pub enum Phase {
 }
 
 /// Every phase, in accumulator-index order.
-pub const PHASES: [Phase; 13] = [
+pub const PHASES: [Phase; 14] = [
     Phase::TraceGen,
     Phase::SimSetup,
     Phase::Arrivals,
@@ -67,6 +71,7 @@ pub const PHASES: [Phase; 13] = [
     Phase::Consolidation,
     Phase::WakeUps,
     Phase::Sampling,
+    Phase::StackDrain,
     Phase::HvSetup,
     Phase::FaultBatch,
     Phase::ReplaySend,
@@ -88,6 +93,7 @@ impl Phase {
             Phase::Consolidation => "consolidation",
             Phase::WakeUps => "wake_ups",
             Phase::Sampling => "sampling",
+            Phase::StackDrain => "stack_drain",
             Phase::HvSetup => "hv_setup",
             Phase::FaultBatch => "fault_batch",
             Phase::ReplaySend => "replay_send",

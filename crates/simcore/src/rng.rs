@@ -75,15 +75,17 @@ impl DetRng {
     /// Panics if `n == 0`.
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0) is meaningless");
-        // Lemire's multiply-shift rejection method: unbiased.
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128) * (n as u128);
-            let low = m as u64;
-            if low >= n.wrapping_neg() % n {
-                return (m >> 64) as u64;
+        // Lemire's multiply-shift rejection method: unbiased. The
+        // rejection threshold `2^64 mod n` is below `n`, so a low half of
+        // at least `n` is accepted without the division.
+        let mut m = (self.next_u64() as u128) * (n as u128);
+        if (m as u64) < n {
+            let threshold = n.wrapping_neg() % n;
+            while (m as u64) < threshold {
+                m = (self.next_u64() as u128) * (n as u128);
             }
         }
+        (m >> 64) as u64
     }
 
     /// A uniform integer in `[lo, hi)`.
@@ -179,15 +181,50 @@ pub const fn derive_seed(base: u64, index: u64) -> u64 {
 ///
 /// Rank 0 is the most popular item. `theta` near 0 approaches uniform;
 /// `theta` near 1 is the classic web/memcached skew.
-#[derive(Clone, Debug)]
+///
+/// The acceptance test reads the envelope `h(k ± 0.5)` at integer ranks
+/// only, so each sampler memoizes it: `h_at[j] = h(j - 0.5)`, filled the
+/// first time rank `j` needs it. The table is allocated on the first
+/// sample, not in [`Zipf::new`], and holds `min(n + 2, 15,360)` doubles
+/// (at most 120 KiB); ranks past it are computed on every draw, as
+/// without the table. Every entry is the same expression on the same
+/// operands as the direct computation, so the sampled stream does not
+/// change by one bit.
+#[derive(Clone)]
 pub struct Zipf {
     n: u64,
     theta: f64,
     h_x1: f64,
     h_n: f64,
+    /// `h(j - 0.5)` at index `j`; NaN until first needed (`h` is finite
+    /// at every half-integer rank, so NaN never collides with a value).
+    /// Empty until the first sample.
+    h_at: Vec<f64>,
+}
+
+impl core::fmt::Debug for Zipf {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Zipf")
+            .field("n", &self.n)
+            .field("theta", &self.theta)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The integral of the Zipf density `x^-theta`, shifted so `h(1) = 0`.
+fn zipf_h(theta: f64, x: f64) -> f64 {
+    (x.powf(1.0 - theta) - 1.0) / (1.0 - theta)
 }
 
 impl Zipf {
+    /// Entries of the memoized envelope (120 KiB): ranks at or past it
+    /// are computed per draw. The table stays under glibc's 128 KiB mmap
+    /// threshold on purpose: freeing one mmapped table raises that
+    /// threshold for the rest of the process, and the engine's mid-size
+    /// tables then stay resident on the heap (a 512 KiB table cost Table
+    /// 2 5 MiB of peak RSS).
+    const TABLE_CAP: u64 = 15 << 10;
+
     /// Creates a sampler over `n` ranks with exponent `theta`.
     ///
     /// # Panics
@@ -198,29 +235,47 @@ impl Zipf {
     pub fn new(n: u64, theta: f64) -> Self {
         assert!(n > 0, "need at least one rank");
         assert!(theta > 0.0 && theta != 1.0, "theta must be > 0 and != 1");
-        let h = |x: f64| (x.powf(1.0 - theta) - 1.0) / (1.0 - theta);
         Zipf {
             n,
             theta,
-            h_x1: h(1.5) - 1.0,
-            h_n: h(n as f64 + 0.5),
+            h_x1: zipf_h(theta, 1.5) - 1.0,
+            h_n: zipf_h(theta, n as f64 + 0.5),
+            h_at: Vec::new(),
         }
     }
 
     /// Samples a rank in `0..n`.
-    pub fn sample(&self, rng: &mut DetRng) -> u64 {
-        let h_inv = |x: f64| (1.0 + x * (1.0 - self.theta)).powf(1.0 / (1.0 - self.theta));
+    pub fn sample(&mut self, rng: &mut DetRng) -> u64 {
+        if self.h_at.is_empty() {
+            self.h_at = vec![f64::NAN; (self.n + 2).min(Self::TABLE_CAP) as usize];
+        }
+        let (theta, n) = (self.theta, self.n);
+        let h_inv = |x: f64| (1.0 + x * (1.0 - theta)).powf(1.0 / (1.0 - theta));
         loop {
             let u = self.h_x1 + rng.f64() * (self.h_n - self.h_x1);
             let x = h_inv(u);
-            let k = (x + 0.5).floor().max(1.0).min(self.n as f64);
+            let k = (x + 0.5).floor().max(1.0).min(n as f64);
             // Accept with the ratio of the true mass to the envelope.
-            let h = |y: f64| (y.powf(1.0 - self.theta) - 1.0) / (1.0 - self.theta);
-            let left = h(k - 0.5);
-            let right = h(k + 0.5);
-            if u >= left && u <= right || rng.f64() < (right - left) / (k.powf(-self.theta)) {
+            // `k + 0.5 == (k + 1) - 0.5` exactly: `k` is a small integer.
+            let left = self.envelope(k as usize);
+            let right = self.envelope(k as usize + 1);
+            if u >= left && u <= right || rng.f64() < (right - left) / (k.powf(-theta)) {
                 return k as u64 - 1;
             }
+        }
+    }
+
+    /// `h(j - 0.5)`, from the table when `j` is inside it.
+    fn envelope(&mut self, j: usize) -> f64 {
+        let theta = self.theta;
+        match self.h_at.get_mut(j) {
+            Some(e) => {
+                if e.is_nan() {
+                    *e = zipf_h(theta, j as f64 - 0.5);
+                }
+                *e
+            }
+            None => zipf_h(theta, j as f64 - 0.5),
         }
     }
 }
@@ -291,7 +346,7 @@ mod tests {
     #[test]
     fn zipf_rank0_is_most_popular() {
         let mut r = DetRng::new(5);
-        let z = Zipf::new(1_000, 0.99);
+        let mut z = Zipf::new(1_000, 0.99);
         let mut counts = vec![0u32; 1_000];
         for _ in 0..50_000 {
             counts[z.sample(&mut r) as usize] += 1;
@@ -306,6 +361,106 @@ mod tests {
         // And the head should hold most of the mass.
         let head: u32 = counts[..100].iter().sum();
         assert!(head as f64 > 0.5 * 50_000.0);
+    }
+
+    /// The closed-form sampler the memoized envelope replaced, evaluating
+    /// `h(k ± 0.5)` on every draw. Counts the draws that reached the
+    /// reject branch's second `f64`.
+    fn zipf_closed_form(z: &Zipf, rng: &mut DetRng, reject_branch: &mut u64) -> u64 {
+        let h_inv = |x: f64| (1.0 + x * (1.0 - z.theta)).powf(1.0 / (1.0 - z.theta));
+        loop {
+            let u = z.h_x1 + rng.f64() * (z.h_n - z.h_x1);
+            let x = h_inv(u);
+            let k = (x + 0.5).floor().max(1.0).min(z.n as f64);
+            let h = |y: f64| (y.powf(1.0 - z.theta) - 1.0) / (1.0 - z.theta);
+            let left = h(k - 0.5);
+            let right = h(k + 0.5);
+            if u >= left && u <= right {
+                return k as u64 - 1;
+            }
+            *reject_branch += 1;
+            if rng.f64() < (right - left) / (k.powf(-z.theta)) {
+                return k as u64 - 1;
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_memoized_envelope_matches_the_closed_form() {
+        let past_cap = Zipf::TABLE_CAP + 1_000;
+        for theta in [0.75, 0.85, 0.99, 1.5] {
+            // Largest first: an envelope read at the wrong rank then
+            // fails on a draw instead of spinning at `n = 1`, where every
+            // draw lands on rank 1.
+            for n in [past_cap, 31_458, 1_000, 3, 2, 1] {
+                // The squeeze `h(k - 0.5) <= u <= h(k + 0.5)` holds for
+                // every `k` the inversion rounds to, so a real sampler
+                // reaches the reject branch only through float rounding
+                // (never in 20M draws per configuration). The widened
+                // sampler starts `u` below `h(0.5)`: its draws clamp to
+                // rank 1 and take the reject branch.
+                let natural = Zipf::new(n, theta);
+                let widened = Zipf {
+                    h_x1: zipf_h(theta, 0.5) - 1.0,
+                    ..Zipf::new(n, theta)
+                };
+                for (label, reference) in [("natural", natural), ("widened", widened)] {
+                    let mut reject_branch = 0;
+                    for seed in [1, 2, 3] {
+                        let mut z = reference.clone();
+                        let (mut a, mut b) = (DetRng::new(seed), DetRng::new(seed));
+                        for draw in 0..20_000 {
+                            let want = zipf_closed_form(&reference, &mut a, &mut reject_branch);
+                            let got = z.sample(&mut b);
+                            let at = (label, theta, n, seed, draw);
+                            assert_eq!(got, want, "(sampler, theta, n, seed, draw) {at:?}");
+                            assert_eq!(a.s, b.s, "{at:?}: rng drifted");
+                        }
+                    }
+                    if label == "widened" {
+                        assert!(reject_branch > 0, "theta {theta} n {n}: no reject branch");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_debug_omits_the_table() {
+        let mut z = Zipf::new(1_000, 0.85);
+        z.sample(&mut DetRng::new(1));
+        assert_eq!(format!("{z:?}"), "Zipf { n: 1000, theta: 0.85, .. }");
+    }
+
+    #[test]
+    fn below_matches_an_always_divide_reference() {
+        let mut rejected = 0;
+        for n in [
+            1,
+            2,
+            3,
+            7,
+            (1 << 32) - 1,
+            (1 << 32) + 1,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX,
+        ] {
+            let (mut a, mut b) = (DetRng::new(n), DetRng::new(n));
+            for draw in 0..10_000 {
+                let want = loop {
+                    let m = (a.next_u64() as u128) * (n as u128);
+                    if m as u64 >= n.wrapping_neg() % n {
+                        break (m >> 64) as u64;
+                    }
+                    rejected += 1;
+                };
+                assert_eq!(b.below(n), want, "n {n} draw {draw}");
+                assert_eq!(a.s, b.s, "n {n} draw {draw}: rng drifted");
+            }
+        }
+        // 2^63 + 1 rejects about half its first draws.
+        assert!(rejected > 1_000, "rejection loop ran {rejected} times");
     }
 
     #[test]

@@ -544,6 +544,7 @@ impl Dc {
         if self.stack_dirty.is_empty() {
             return;
         }
+        let _span = zombieland_obs::profile::span(zombieland_obs::profile::Phase::StackDrain);
         let (mut refiled, mut in_place) = (0, 0);
         let mut dirty = std::mem::take(&mut self.stack_dirty);
         for h in dirty.drain(..) {

@@ -168,7 +168,10 @@ impl Workload for MicroBench {
             self.rng.below(self.os_len)
         } else {
             let p = self.os_len + self.cursor;
-            self.cursor = (self.cursor + 1) % self.sweep_len;
+            self.cursor += 1;
+            if self.cursor == self.sweep_len {
+                self.cursor = 0;
+            }
             p
         };
         // "Performs read/write operations": array entries alternate

@@ -69,6 +69,24 @@ if ! cmp "$ZL_J1" "$ZL_J2"; then
     exit 1
 fi
 
+echo "==> fault-path counters smoke (table2 metrics are byte-identical at jobs=1 and jobs=2)"
+zl_tmp ZL_M1 /tmp/zl-metrics1.XXXXXX.json
+zl_tmp ZL_M2 /tmp/zl-metrics2.XXXXXX.json
+ZL_SCALE=0.04 ./target/release/zombieland-cli --obs-level summary --metrics-out "$ZL_M1" \
+    experiment table2 --jobs 1 > /dev/null
+ZL_SCALE=0.04 ./target/release/zombieland-cli --obs-level summary --metrics-out "$ZL_M2" \
+    experiment table2 --jobs 2 > /dev/null
+for name in hv.policy.examined hv.demand_batch_pages hv.readahead.evictions; do
+    if ! grep -q "\"$name\"" "$ZL_M1"; then
+        echo "verify: FAIL — table2 metrics lack $name" >&2
+        exit 1
+    fi
+done
+if ! cmp "$ZL_M1" "$ZL_M2"; then
+    echo "verify: FAIL — parallel fan-out changed the table2 metrics" >&2
+    exit 1
+fi
+
 echo "==> scenario smoke (--scenario file matches the equivalent ZL_* env run)"
 zl_tmp ZL_SCEN /tmp/zl-scenario.XXXXXX.txt
 zl_tmp ZL_ENV /tmp/zl-env.XXXXXX.txt
