@@ -12,7 +12,10 @@
 //! ([`encode_response`]/[`decode_response`]) — buffer-descriptor lists,
 //! LRU-zombie answers, reclaim plans, and typed error frames, each
 //! stamped with the controller's modeled decision time so clients can
-//! account latency without trusting wall clocks.
+//! account latency without trusting wall clocks. [`encode_into`] and
+//! [`encode_response_into`] append to a caller's reused buffer, so a
+//! serving loop encodes without allocating; [`encode`] and
+//! [`encode_response`] wrap them.
 //!
 //! Decoders enforce sanity limits ([`MAX_MEM_SIZE`], [`MAX_NB_BUFFERS`],
 //! [`MAX_LIST_LEN`]): a frame declaring an absurd allocation size or id
@@ -172,19 +175,26 @@ fn bounded_count(field: &'static str, got: u32) -> Result<usize, CodecError> {
 /// Encodes an operation to its wire bytes.
 pub fn encode(op: &RackOp) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
+    encode_into(op, &mut out);
+    out
+}
+
+/// Appends an operation's wire bytes to `out` (a caller's reused
+/// buffer), leaving what `out` already holds untouched.
+pub fn encode_into(op: &RackOp, out: &mut Vec<u8>) {
     match op {
         RackOp::GotoZombie { host, buffers } => {
-            put_header(&mut out, Opcode::GotoZombie);
+            put_header(out, Opcode::GotoZombie);
             out.extend_from_slice(&host.get().to_le_bytes());
             out.extend_from_slice(&buffers.to_le_bytes());
         }
         RackOp::Reclaim { host, nb_buffers } => {
-            put_header(&mut out, Opcode::Reclaim);
+            put_header(out, Opcode::Reclaim);
             out.extend_from_slice(&host.get().to_le_bytes());
             out.extend_from_slice(&nb_buffers.to_le_bytes());
         }
         RackOp::UsReclaim { user, buff_ids } => {
-            put_header(&mut out, Opcode::UsReclaim);
+            put_header(out, Opcode::UsReclaim);
             out.extend_from_slice(&user.get().to_le_bytes());
             out.extend_from_slice(&(buff_ids.len() as u32).to_le_bytes());
             for b in buff_ids {
@@ -192,24 +202,23 @@ pub fn encode(op: &RackOp) -> Vec<u8> {
             }
         }
         RackOp::AllocExt { user, mem_size } => {
-            put_header(&mut out, Opcode::AllocExt);
+            put_header(out, Opcode::AllocExt);
             out.extend_from_slice(&user.get().to_le_bytes());
             out.extend_from_slice(&mem_size.get().to_le_bytes());
         }
         RackOp::AllocSwap { user, mem_size } => {
-            put_header(&mut out, Opcode::AllocSwap);
+            put_header(out, Opcode::AllocSwap);
             out.extend_from_slice(&user.get().to_le_bytes());
             out.extend_from_slice(&mem_size.get().to_le_bytes());
         }
         RackOp::AsGetFreeMem { host } => {
-            put_header(&mut out, Opcode::AsGetFreeMem);
+            put_header(out, Opcode::AsGetFreeMem);
             out.extend_from_slice(&host.get().to_le_bytes());
         }
         RackOp::GetLruZombie => {
-            put_header(&mut out, Opcode::GetLruZombie);
+            put_header(out, Opcode::GetLruZombie);
         }
     }
-    out
 }
 
 /// Decodes wire bytes back into an operation.
@@ -434,17 +443,24 @@ fn put_id_list(out: &mut Vec<u8>, ids: &[BufferId]) {
 /// Encodes a response to its wire bytes.
 pub fn encode_response(resp: &RackResponse) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
+    encode_response_into(resp, &mut out);
+    out
+}
+
+/// Appends a response's wire bytes to `out` (a caller's reused buffer),
+/// leaving what `out` already holds untouched.
+pub fn encode_response_into(resp: &RackResponse, out: &mut Vec<u8>) {
     match &resp.body {
         ResponseBody::Lent { buffers } => {
-            put_resp_header(&mut out, RespTag::Lent, resp.decision);
-            put_id_list(&mut out, buffers);
+            put_resp_header(out, RespTag::Lent, resp.decision);
+            put_id_list(out, buffers);
         }
         ResponseBody::Reclaimed {
             returned_free,
             revoked,
         } => {
-            put_resp_header(&mut out, RespTag::Reclaimed, resp.decision);
-            put_id_list(&mut out, returned_free);
+            put_resp_header(out, RespTag::Reclaimed, resp.decision);
+            put_id_list(out, returned_free);
             out.extend_from_slice(&(revoked.len() as u32).to_le_bytes());
             for (user, b) in revoked {
                 out.extend_from_slice(&user.get().to_le_bytes());
@@ -455,12 +471,12 @@ pub fn encode_response(resp: &RackResponse) -> Vec<u8> {
             relocated,
             fell_back,
         } => {
-            put_resp_header(&mut out, RespTag::Revoked, resp.decision);
+            put_resp_header(out, RespTag::Revoked, resp.decision);
             out.extend_from_slice(&relocated.to_le_bytes());
             out.extend_from_slice(&fell_back.to_le_bytes());
         }
         ResponseBody::Granted { buffers } => {
-            put_resp_header(&mut out, RespTag::Granted, resp.decision);
+            put_resp_header(out, RespTag::Granted, resp.decision);
             out.extend_from_slice(&(buffers.len() as u32).to_le_bytes());
             for d in buffers {
                 out.extend_from_slice(&d.id.get().to_le_bytes());
@@ -471,7 +487,7 @@ pub fn encode_response(resp: &RackResponse) -> Vec<u8> {
             }
         }
         ResponseBody::LruZombie { host } => {
-            put_resp_header(&mut out, RespTag::LruZombie, resp.decision);
+            put_resp_header(out, RespTag::LruZombie, resp.decision);
             match host {
                 Some(h) => {
                     out.push(1);
@@ -481,7 +497,7 @@ pub fn encode_response(resp: &RackResponse) -> Vec<u8> {
             }
         }
         ResponseBody::Error(e) => {
-            put_resp_header(&mut out, RespTag::Error, resp.decision);
+            put_resp_header(out, RespTag::Error, resp.decision);
             match e {
                 ErrorFrame::UnknownHost(h) => {
                     out.push(1);
@@ -512,7 +528,6 @@ pub fn encode_response(resp: &RackResponse) -> Vec<u8> {
             }
         }
     }
-    out
 }
 
 fn read_id_list(r: &mut Reader<'_>) -> Result<Vec<BufferId>, CodecError> {

@@ -94,6 +94,9 @@ pub struct ReclaimPlan {
     pub returned_free: Vec<BufferId>,
     /// `(user, buffer)` pairs that require revocation.
     pub revoked: Vec<(ServerId, BufferId)>,
+    /// The reclaimed rows' MR keys, in [`ReclaimPlan::all_buffers`]
+    /// order: what the caller deregisters once the rows are gone.
+    pub mrs: Vec<MrKey>,
 }
 
 impl ReclaimPlan {
@@ -385,16 +388,22 @@ impl CtrlDb {
                 .take(wanted)
                 .map(|&b| (self.buffers[&b].user.expect("not free"), b)),
         );
-        // Apply: remove reclaimed rows.
-        for b in plan.all_buffers() {
-            self.buffers.remove(&b);
-        }
+        // Apply: remove reclaimed rows, keeping their MR keys.
+        plan.mrs = plan
+            .all_buffers()
+            .map(|b| self.buffers.remove(&b).expect("planned from live rows").mr)
+            .collect();
         let info = self.hosts.get_mut(&host).expect("checked above");
         for b in &plan.returned_free {
             info.free.remove(b);
         }
         self.free -= plan.returned_free.len() as u64;
-        info.lent.retain(|b| self.buffers.contains_key(b));
+        // Both id lists are ascending subsequences of `lent`, so one
+        // merge walk prunes it without looking up a row.
+        let mut free = plan.returned_free.iter().peekable();
+        let mut revoked = plan.revoked.iter().map(|(_, b)| b).peekable();
+        info.lent
+            .retain(|b| free.next_if_eq(&b).is_none() && revoked.next_if_eq(&b).is_none());
         Ok(plan)
     }
 

@@ -217,7 +217,8 @@ struct ServerEntry {
     platform: Platform,
     ram: Bytes,
     local_used: Bytes,
-    lent: Vec<(BufferId, MrKey)>,
+    /// Buffers lent to the pool (the controller keeps their rows).
+    lent: u64,
 }
 
 /// A disaggregated rack.
@@ -282,7 +283,7 @@ impl Rack {
                 platform: Platform::sz_capable(),
                 ram: config.ram_per_server,
                 local_used: Bytes::ZERO,
-                lent: Vec::new(),
+                lent: 0,
             });
             managers.push(RemoteMemManager::new(id));
             // Establishing links cannot fail here: every endpoint was
@@ -406,7 +407,7 @@ impl Rack {
     /// local usage, and what it already lent.
     pub fn lendable(&self, s: ServerId) -> Result<Bytes, RackError> {
         let entry = self.entry(s)?;
-        let lent = BUFF_SIZE * entry.lent.len() as u64;
+        let lent = BUFF_SIZE * entry.lent;
         Ok(entry
             .ram
             .saturating_sub(self.config.system_reserved)
@@ -472,9 +473,7 @@ impl Rack {
         let control = self.rpc_to_ctrl(s, &op)?;
         let ids = self.ha.apply(|db| db.lend(s, &mrs, true))?;
         let entry = self.entry_mut(s)?;
-        entry
-            .lent
-            .extend(ids.iter().copied().zip(mrs.iter().copied()));
+        entry.lent += ids.len() as u64;
         let suspend = entry.platform.suspend("zom")?;
         self.fabric.set_availability(node, Availability::MemoryOnly);
         Ok(ZombieOutcome {
@@ -498,10 +497,7 @@ impl Rack {
             mrs.push(self.fabric.register(node, BUFF_SIZE)?);
         }
         let ids = self.ha.apply(|db| db.lend(s, &mrs, false))?;
-        let entry = self.entry_mut(s)?;
-        entry
-            .lent
-            .extend(ids.iter().copied().zip(mrs.iter().copied()));
+        self.entry_mut(s)?.lent += ids.len() as u64;
         Ok(ids)
     }
 
@@ -556,7 +552,7 @@ impl Rack {
         out: &mut WakeOutcome,
     ) -> Result<(), RackError> {
         // GS_reclaim: the manager asks for its memory back.
-        let lent_count = self.entry(s)?.lent.len() as u64;
+        let lent_count = self.entry(s)?.lent;
         let nb = reclaim_buffers.unwrap_or(lent_count).min(lent_count);
         if nb > 0 {
             let op = RackOp::Reclaim {
@@ -613,19 +609,8 @@ impl Rack {
 
             // 4. Destroy the communication channels: deregister the MRs of
             //    every reclaimed buffer and return the memory to the host.
-            let reclaimed: Vec<BufferId> = plan.all_buffers().collect();
-            let entry = self.entry_mut(s)?;
-            let mut kept = Vec::new();
-            let mut dropped_mrs = Vec::new();
-            for (id, mr) in entry.lent.drain(..) {
-                if reclaimed.contains(&id) {
-                    dropped_mrs.push(mr);
-                } else {
-                    kept.push((id, mr));
-                }
-            }
-            entry.lent = kept;
-            for mr in dropped_mrs {
+            self.entry_mut(s)?.lent -= plan.mrs.len() as u64;
+            for &mr in &plan.mrs {
                 self.fabric.deregister(mr)?;
             }
         }
@@ -902,8 +887,7 @@ impl Rack {
         self.fabric.set_availability(node, Availability::Down);
         // Purge the controller's rows for the dead host and downgrade the
         // affected users' pages.
-        let lent = self.ha.apply(|db| db.buffers_of_host(s));
-        let nb = lent.len() as u64;
+        let nb = self.entry(s)?.lent;
         let mut lost_pages = 0u64;
         if nb > 0 {
             let plan = self.ha.apply(|db| db.reclaim(s, nb))?;
@@ -913,7 +897,7 @@ impl Rack {
                     .len() as u64;
             }
         }
-        self.entry_mut(s)?.lent.clear();
+        self.entry_mut(s)?.lent = 0;
         Ok(lost_pages)
     }
 
@@ -1032,7 +1016,7 @@ impl Rack {
                 _ => sleeping += 1,
             }
         }
-        let lent: u64 = self.servers.iter().map(|e| e.lent.len() as u64).sum();
+        let lent: u64 = self.servers.iter().map(|e| e.lent).sum();
         RackStats {
             active_servers: active,
             zombie_servers: zombies,

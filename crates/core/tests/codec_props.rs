@@ -5,13 +5,14 @@
 
 use proptest::prelude::*;
 use zombieland_core::codec::{
-    decode, decode_response, encode, encode_response, BufferDesc, CodecError, ErrorFrame,
-    RackResponse, ResponseBody, MAX_LIST_LEN, MAX_MEM_SIZE, MAX_NB_BUFFERS,
+    decode, decode_response, encode, encode_into, encode_response, encode_response_into,
+    BufferDesc, CodecError, ErrorFrame, RackResponse, ResponseBody, MAX_LIST_LEN, MAX_MEM_SIZE,
+    MAX_NB_BUFFERS,
 };
 use zombieland_core::protocol::RackOp;
 use zombieland_core::ServerId;
 use zombieland_mem::buffer::BufferId;
-use zombieland_simcore::{Bytes, SimDuration};
+use zombieland_simcore::{Bytes, DetRng, SimDuration};
 
 /// Operations whose fields respect the wire limits; these must
 /// round-trip exactly. Ranges are inclusive of the limit itself.
@@ -216,4 +217,115 @@ fn us_reclaim_id_list_at_the_count_boundary() {
             max: MAX_LIST_LEN as u64,
         })
     );
+}
+
+/// A seeded op of kind `kind % 7`, every field drawn from `rng`.
+fn seeded_op(kind: u64, rng: &mut DetRng) -> RackOp {
+    let server = ServerId::new(rng.next_u64() as u32);
+    match kind % 7 {
+        0 => RackOp::GotoZombie {
+            host: server,
+            buffers: rng.below(MAX_NB_BUFFERS + 1),
+        },
+        1 => RackOp::Reclaim {
+            host: server,
+            nb_buffers: rng.below(MAX_NB_BUFFERS + 1),
+        },
+        2 => RackOp::UsReclaim {
+            user: server,
+            buff_ids: (0..rng.below(40))
+                .map(|_| BufferId::new(rng.next_u64()))
+                .collect(),
+        },
+        3 => RackOp::AllocExt {
+            user: server,
+            mem_size: Bytes::new(rng.below(MAX_MEM_SIZE.get() + 1)),
+        },
+        4 => RackOp::AllocSwap {
+            user: server,
+            mem_size: Bytes::new(rng.below(MAX_MEM_SIZE.get() + 1)),
+        },
+        5 => RackOp::AsGetFreeMem { host: server },
+        _ => RackOp::GetLruZombie,
+    }
+}
+
+/// A seeded response of kind `kind % 12`: every body tag, both
+/// `LruZombie` forms, and all six error frames.
+fn seeded_response(kind: u64, rng: &mut DetRng) -> RackResponse {
+    let id = |rng: &mut DetRng| BufferId::new(rng.next_u64());
+    let server = |rng: &mut DetRng| ServerId::new(rng.next_u64() as u32);
+    let body = match kind % 12 {
+        0 => ResponseBody::Lent {
+            buffers: (0..rng.below(20)).map(|_| id(rng)).collect(),
+        },
+        1 => ResponseBody::Reclaimed {
+            returned_free: (0..rng.below(20)).map(|_| id(rng)).collect(),
+            revoked: (0..rng.below(20)).map(|_| (server(rng), id(rng))).collect(),
+        },
+        2 => ResponseBody::Revoked {
+            relocated: rng.next_u64(),
+            fell_back: rng.next_u64(),
+        },
+        3 => ResponseBody::Granted {
+            buffers: (0..rng.below(20))
+                .map(|_| BufferDesc {
+                    id: id(rng),
+                    host: server(rng),
+                    mr_key: rng.next_u64(),
+                    size: Bytes::new(rng.next_u64()),
+                    zombie: rng.chance(0.5),
+                })
+                .collect(),
+        },
+        4 => ResponseBody::LruZombie {
+            host: Some(server(rng)),
+        },
+        5 => ResponseBody::LruZombie { host: None },
+        6 => ResponseBody::Error(ErrorFrame::UnknownHost(server(rng))),
+        7 => ResponseBody::Error(ErrorFrame::UnknownBuffer(id(rng))),
+        8 => ResponseBody::Error(ErrorFrame::AdmissionDenied {
+            requested: rng.next_u64(),
+            available: rng.next_u64(),
+        }),
+        9 => ResponseBody::Error(ErrorFrame::NotTheUser {
+            buffer: id(rng),
+            user: server(rng),
+        }),
+        10 => ResponseBody::Error(ErrorFrame::NoCapacity),
+        _ => ResponseBody::Error(ErrorFrame::BadRequest {
+            code: rng.below(256) as u8,
+        }),
+    };
+    RackResponse {
+        decision: SimDuration::from_nanos(rng.next_u64()),
+        body,
+    }
+}
+
+/// The appending encoders write exactly the allocating encoders' bytes
+/// behind whatever the buffer already holds: over a seeded stream that
+/// covers every op and every response kind, one reused buffer ends up
+/// holding the concatenation of the `encode` / `encode_response` bytes.
+#[test]
+fn encode_into_appends_exactly_the_encode_bytes() {
+    let mut rng = DetRng::new(0x00c0_dec5);
+    let mut appended = b"existing content".to_vec();
+    let mut expected = appended.clone();
+    for i in 0..600 {
+        let op = seeded_op(i, &mut rng);
+        let before = appended.len();
+        encode_into(&op, &mut appended);
+        let want = encode(&op);
+        assert_eq!(&appended[before..], &want[..], "{op:?}");
+        expected.extend_from_slice(&want);
+
+        let resp = seeded_response(i, &mut rng);
+        let before = appended.len();
+        encode_response_into(&resp, &mut appended);
+        let want = encode_response(&resp);
+        assert_eq!(&appended[before..], &want[..], "{resp:?}");
+        expected.extend_from_slice(&want);
+    }
+    assert_eq!(appended, expected, "earlier content was left untouched");
 }

@@ -313,9 +313,11 @@ impl ScanDb {
                 plan.revoked.push((user, b));
             }
         }
-        for b in plan.all_buffers().collect::<Vec<_>>() {
-            self.buffers.remove(&b);
-        }
+        let reclaimed: Vec<BufferId> = plan.all_buffers().collect();
+        plan.mrs = reclaimed
+            .iter()
+            .map(|b| self.buffers.remove(b).unwrap().mr)
+            .collect();
         let info = self.hosts.get_mut(&host).unwrap();
         info.1.retain(|b| self.buffers.contains_key(b));
         Ok(plan)
@@ -442,7 +444,18 @@ proptest! {
                 }
                 Op::Reclaim { host, nb } => {
                     let (h, nb) = (ServerId::new(*host), *nb as u64);
-                    prop_assert_eq!(db.reclaim(h, nb), scan.reclaim(h, nb));
+                    let rows: BTreeMap<BufferId, BufferRecord> = db
+                        .buffers_of_host(h)
+                        .into_iter()
+                        .map(|r| (r.id, r))
+                        .collect();
+                    let plan = db.reclaim(h, nb);
+                    prop_assert_eq!(&plan, &scan.reclaim(h, nb));
+                    // The plan carries each removed row's MR key, in
+                    // `all_buffers` order.
+                    let plan = plan.unwrap();
+                    let removed: Vec<_> = plan.all_buffers().map(|b| rows[&b].mr).collect();
+                    prop_assert_eq!(&plan.mrs, &removed);
                 }
                 Op::Wake { host } => {
                     let h = ServerId::new(*host);

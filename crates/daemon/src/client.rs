@@ -9,15 +9,15 @@
 //! when the next read could block, not on every [`ZlClient::flush`].
 
 use std::fmt;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 
-use zombieland_core::codec::{decode_response, encode, CodecError, RackResponse};
+use zombieland_core::codec::{decode_response, encode_into, CodecError, RackResponse};
 use zombieland_core::protocol::RackOp;
 
-use crate::framing::{has_whole_frame, read_frame, write_frame, SHUTDOWN, STATS};
+use crate::framing::{append_frame, write_queued, FrameReader, SHUTDOWN, STATS};
 use crate::Endpoint;
 
 /// Client-side failures. A typed [`ErrorFrame`] answer from the server
@@ -98,8 +98,10 @@ impl Write for Stream {
 
 /// A connected control-plane client.
 pub struct ZlClient {
-    reader: BufReader<Stream>,
-    writer: BufWriter<Stream>,
+    reader: FrameReader<Stream>,
+    writer: Stream,
+    /// Requests queued for the next write, reused across writes.
+    out: Vec<u8>,
 }
 
 impl ZlClient {
@@ -115,8 +117,9 @@ impl ZlClient {
             Endpoint::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
         };
         Ok(ZlClient {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
+            reader: FrameReader::new(stream.try_clone()?),
+            writer: stream,
+            out: Vec::new(),
         })
     }
 
@@ -124,7 +127,7 @@ impl ZlClient {
     /// latest ([`ZlClient::flush`] asks for it sooner; [`ZlClient::call`]
     /// is send + recv).
     pub fn send(&mut self, op: &RackOp) -> Result<(), ClientError> {
-        write_frame(&mut self.writer, &encode(op))?;
+        append_frame(&mut self.out, |b| encode_into(op, b));
         Ok(())
     }
 
@@ -136,23 +139,23 @@ impl ZlClient {
     /// can block, so the client never waits on an answer to a request it
     /// has not sent. Dropping the client writes anything still queued.
     pub fn flush(&mut self) -> Result<(), ClientError> {
-        if !has_whole_frame(self.reader.buffer()) {
-            self.writer.flush()?;
+        if !self.reader.has_whole_frame() {
+            write_queued(&mut self.writer, &mut self.out)?;
         }
         Ok(())
     }
 
     /// Reads the next in-order frame, flushing queued requests first if
     /// the read could block.
-    fn read_next(&mut self) -> Result<Vec<u8>, ClientError> {
+    fn read_next(&mut self) -> Result<&[u8], ClientError> {
         self.flush()?;
-        read_frame(&mut self.reader)?.ok_or(ClientError::Closed)
+        self.reader.next_frame()?.ok_or(ClientError::Closed)
     }
 
     /// Reads the next in-order response.
     pub fn recv(&mut self) -> Result<RackResponse, ClientError> {
         let payload = self.read_next()?;
-        decode_response(&payload).map_err(ClientError::Codec)
+        decode_response(payload).map_err(ClientError::Codec)
     }
 
     /// One request, one response.
@@ -164,24 +167,31 @@ impl ZlClient {
     /// Scrapes the daemon's telemetry: one `[STATS]` admin frame out,
     /// one frame of Prometheus-style exposition text back.
     pub fn stats(&mut self) -> Result<String, ClientError> {
-        write_frame(&mut self.writer, &[STATS])?;
+        append_frame(&mut self.out, |b| b.push(STATS));
         let payload = self.read_next()?;
-        String::from_utf8(payload).map_err(|_| {
-            ClientError::Io(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "stats payload is not UTF-8",
-            ))
-        })
+        std::str::from_utf8(payload)
+            .map(str::to_owned)
+            .map_err(|_| {
+                ClientError::Io(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "stats payload is not UTF-8",
+                ))
+            })
     }
 
     /// Asks the daemon to shut down; resolves once it acknowledges.
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        write_frame(&mut self.writer, &[SHUTDOWN])?;
-        let ack = self.read_next()?;
-        if ack == [SHUTDOWN] {
+        append_frame(&mut self.out, |b| b.push(SHUTDOWN));
+        if self.read_next()? == [SHUTDOWN] {
             Ok(())
         } else {
             Err(ClientError::Closed)
         }
+    }
+}
+
+impl Drop for ZlClient {
+    fn drop(&mut self) {
+        let _ = write_queued(&mut self.writer, &mut self.out);
     }
 }

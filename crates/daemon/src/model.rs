@@ -286,22 +286,14 @@ impl ClusterModel {
                 if idx >= self.nodes.len() {
                     return Err(ErrorFrame::UnknownHost(*host));
                 }
-                // The host's MR keys, read while its rows still exist.
-                let mrs: BTreeMap<BufferId, MrKey> = self
-                    .ha
-                    .db()
-                    .buffers_of_host(*host)
-                    .iter()
-                    .map(|r| (r.id, r.mr))
-                    .collect();
                 let plan = self
                     .ha
                     .apply(|db| db.reclaim(*host, *nb_buffers))
                     .map_err(db_error_frame)?;
                 // Destroy the channels: deregister every reclaimed MR.
-                for b in plan.all_buffers() {
+                for &mr in &plan.mrs {
                     self.fabric
-                        .deregister(mrs[&b])
+                        .deregister(mr)
                         .expect("the model's hosts stay powered");
                 }
                 // Revoke allocated buffers from their users' agents (the

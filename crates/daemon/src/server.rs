@@ -27,19 +27,22 @@
 //! process too), and each op holds the lock only for its in-memory
 //! database work.
 
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use zombieland_core::codec::{decode, encode_response, ErrorFrame, RackResponse, ResponseBody};
+use zombieland_core::codec::{
+    decode, encode_response_into, ErrorFrame, RackResponse, ResponseBody,
+};
 use zombieland_core::protocol::RackOp;
+use zombieland_obs::metrics::Histogram;
 use zombieland_obs::telemetry::{self, Telemetry, TelemetryHandle};
 use zombieland_simcore::SimDuration;
 
-use crate::framing::{has_whole_frame, read_frame, write_frame, SHUTDOWN, STATS};
+use crate::framing::{append_frame, write_queued, FrameReader, SHUTDOWN, STATS};
 use crate::model::ClusterModel;
 use crate::Endpoint;
 
@@ -203,42 +206,150 @@ fn poke(endpoint: &Endpoint) {
     }
 }
 
-/// The telemetry counter for one request op. Static names keep the
-/// registry allocation-free; the spellings mirror
+/// Telemetry counter names for the request ops, indexed by [`op_kind`].
+/// Static names keep the registry allocation-free; the spellings mirror
 /// [`RackOp::wire_name`] in lower-case.
-fn op_counter(op: &RackOp) -> &'static str {
+const OP_COUNTERS: [&str; 7] = [
+    "zombied.op.gs_goto_zombie",
+    "zombied.op.gs_reclaim",
+    "zombied.op.us_reclaim",
+    "zombied.op.gs_alloc_ext",
+    "zombied.op.gs_alloc_swap",
+    "zombied.op.as_get_free_mem",
+    "zombied.op.gs_get_lru_zombie",
+];
+
+fn op_kind(op: &RackOp) -> usize {
     match op {
-        RackOp::GotoZombie { .. } => "zombied.op.gs_goto_zombie",
-        RackOp::Reclaim { .. } => "zombied.op.gs_reclaim",
-        RackOp::UsReclaim { .. } => "zombied.op.us_reclaim",
-        RackOp::AllocExt { .. } => "zombied.op.gs_alloc_ext",
-        RackOp::AllocSwap { .. } => "zombied.op.gs_alloc_swap",
-        RackOp::AsGetFreeMem { .. } => "zombied.op.as_get_free_mem",
-        RackOp::GetLruZombie => "zombied.op.gs_get_lru_zombie",
+        RackOp::GotoZombie { .. } => 0,
+        RackOp::Reclaim { .. } => 1,
+        RackOp::UsReclaim { .. } => 2,
+        RackOp::AllocExt { .. } => 3,
+        RackOp::AllocSwap { .. } => 4,
+        RackOp::AsGetFreeMem { .. } => 5,
+        RackOp::GetLruZombie => 6,
     }
 }
 
-/// The telemetry counter for one response tag.
-fn resp_counter(body: &ResponseBody) -> &'static str {
+/// Telemetry counter names for the response tags, indexed by
+/// [`resp_kind`].
+const RESP_COUNTERS: [&str; 6] = [
+    "zombied.resp.lent",
+    "zombied.resp.reclaimed",
+    "zombied.resp.revoked",
+    "zombied.resp.granted",
+    "zombied.resp.lru_zombie",
+    "zombied.resp.error",
+];
+
+fn resp_kind(body: &ResponseBody) -> usize {
     match body {
-        ResponseBody::Lent { .. } => "zombied.resp.lent",
-        ResponseBody::Reclaimed { .. } => "zombied.resp.reclaimed",
-        ResponseBody::Revoked { .. } => "zombied.resp.revoked",
-        ResponseBody::Granted { .. } => "zombied.resp.granted",
-        ResponseBody::LruZombie { .. } => "zombied.resp.lru_zombie",
-        ResponseBody::Error(_) => "zombied.resp.error",
+        ResponseBody::Lent { .. } => 0,
+        ResponseBody::Reclaimed { .. } => 1,
+        ResponseBody::Revoked { .. } => 2,
+        ResponseBody::Granted { .. } => 3,
+        ResponseBody::LruZombie { .. } => 4,
+        ResponseBody::Error(_) => 5,
     }
 }
 
-/// The telemetry counter for one typed error class.
-fn err_counter(e: &ErrorFrame) -> &'static str {
+/// Telemetry counter names for the typed error classes, indexed by
+/// [`err_kind`].
+const ERR_COUNTERS: [&str; 6] = [
+    "zombied.err.unknown_host",
+    "zombied.err.unknown_buffer",
+    "zombied.err.admission_denied",
+    "zombied.err.not_the_user",
+    "zombied.err.no_capacity",
+    "zombied.err.bad_request",
+];
+
+fn err_kind(e: &ErrorFrame) -> usize {
     match e {
-        ErrorFrame::UnknownHost(_) => "zombied.err.unknown_host",
-        ErrorFrame::UnknownBuffer(_) => "zombied.err.unknown_buffer",
-        ErrorFrame::AdmissionDenied { .. } => "zombied.err.admission_denied",
-        ErrorFrame::NotTheUser { .. } => "zombied.err.not_the_user",
-        ErrorFrame::NoCapacity => "zombied.err.no_capacity",
-        ErrorFrame::BadRequest { .. } => "zombied.err.bad_request",
+        ErrorFrame::UnknownHost(_) => 0,
+        ErrorFrame::UnknownBuffer(_) => 1,
+        ErrorFrame::AdmissionDenied { .. } => 2,
+        ErrorFrame::NotTheUser { .. } => 3,
+        ErrorFrame::NoCapacity => 4,
+        ErrorFrame::BadRequest { .. } => 5,
+    }
+}
+
+/// One connection's request telemetry since it last folded into its
+/// shard: counts in fixed arrays indexed by kind, so recording a request
+/// takes no lock and no name lookup. The connection folds the tally
+/// into its shard, under one lock, before every write of answers and
+/// before a STATS or SHUTDOWN answer, so a client holding an answer
+/// sees it counted; dropping the tally folds it too, so a connection
+/// that ends in an I/O error loses no count.
+struct Tally<'a> {
+    telemetry: &'a TelemetryHandle,
+    ops: [u64; OP_COUNTERS.len()],
+    bad_frames: u64,
+    resps: [u64; RESP_COUNTERS.len()],
+    errs: [u64; ERR_COUNTERS.len()],
+    decision_ns: Histogram,
+}
+
+impl<'a> Tally<'a> {
+    fn new(telemetry: &'a TelemetryHandle) -> Self {
+        Tally {
+            telemetry,
+            ops: [0; OP_COUNTERS.len()],
+            bad_frames: 0,
+            resps: [0; RESP_COUNTERS.len()],
+            errs: [0; ERR_COUNTERS.len()],
+            decision_ns: Histogram::default(),
+        }
+    }
+
+    /// Counts one answered request (`op` is `None` for an undecodable
+    /// frame).
+    fn record(&mut self, op: Option<&RackOp>, response: &RackResponse) {
+        match op {
+            Some(op) => self.ops[op_kind(op)] += 1,
+            None => self.bad_frames += 1,
+        }
+        self.resps[resp_kind(&response.body)] += 1;
+        if let ResponseBody::Error(e) = &response.body {
+            self.errs[err_kind(e)] += 1;
+        }
+        self.decision_ns.record(response.decision.as_nanos());
+    }
+
+    /// Adds the tally to the shard and starts it afresh. Every request
+    /// records one decision sample, so an empty histogram means there is
+    /// nothing to fold and the shard is not locked.
+    fn fold(&mut self) {
+        if self.decision_ns.count == 0 {
+            return;
+        }
+        self.telemetry.with(|reg| {
+            let mut add = |name: &'static str, count: &mut u64| {
+                if *count > 0 {
+                    reg.counter_add(name, std::mem::take(count));
+                }
+            };
+            let named = (OP_COUNTERS.iter().zip(&mut self.ops))
+                .chain(RESP_COUNTERS.iter().zip(&mut self.resps))
+                .chain(ERR_COUNTERS.iter().zip(&mut self.errs));
+            for (&name, count) in named {
+                add(name, count);
+            }
+            add("zombied.bad_frames", &mut self.bad_frames);
+            reg.hist_merge("zombied.decision_ns", &self.decision_ns);
+        });
+        self.decision_ns = Histogram::default();
+    }
+}
+
+impl Drop for Tally<'_> {
+    fn drop(&mut self) {
+        // A panic in a drop during unwinding would abort the daemon, so
+        // a connection unwinding from a panic leaves its tally unfolded.
+        if !std::thread::panicking() {
+            self.fold();
+        }
     }
 }
 
@@ -259,6 +370,10 @@ fn scrape_exposition(
     telemetry::expose(&merged)
 }
 
+/// Answers are written out once this many bytes are queued, even while
+/// more whole requests are buffered (a `BufWriter`'s default capacity).
+const WRITE_AT: usize = 8 << 10;
+
 fn serve_conn(
     stream: Stream,
     model: &Mutex<ClusterModel>,
@@ -268,41 +383,44 @@ fn serve_conn(
     connections_open: &AtomicUsize,
 ) -> io::Result<()> {
     let _open = OpenConnection::count(connections_open);
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    let mut reader = FrameReader::new(stream.try_clone()?);
+    let mut writer = stream;
+    // Answers queued for the next write, reused across writes.
+    let mut out = Vec::new();
+    let mut tally = Tally::new(telemetry);
     telemetry.counter_add("zombied.connections", 1);
-    while let Some(payload) = read_frame(&mut reader)? {
-        if payload == [SHUTDOWN] {
-            write_frame(&mut writer, &[SHUTDOWN])?;
-            writer.flush()?;
-            stop.store(true, Ordering::SeqCst);
-            poke(local);
-            return Ok(());
-        }
-        if payload == [STATS] {
+    while let Some(payload) = reader.next_frame()? {
+        let shutdown = payload == [SHUTDOWN];
+        if shutdown {
+            append_frame(&mut out, |b| b.push(SHUTDOWN));
+        } else if payload == [STATS] {
             telemetry.counter_add("zombied.stats_scrapes", 1);
+            tally.fold();
             let text = scrape_exposition(model, telemetry.telemetry(), connections_open);
-            write_frame(&mut writer, text.as_bytes())?;
+            append_frame(&mut out, |b| b.extend_from_slice(text.as_bytes()));
         } else {
-            let response = answer(&payload, model, telemetry);
-            write_frame(&mut writer, &encode_response(&response))?;
+            let response = answer(payload, model, &mut tally);
+            append_frame(&mut out, |b| encode_response_into(&response, b));
         }
         // Write on drain: hold the answers while another whole request
         // is already buffered, so a pipelined burst costs one write.
-        if !has_whole_frame(reader.buffer()) {
-            writer.flush()?;
+        // The tally folds first, so every answer written is counted.
+        if shutdown || !reader.has_whole_frame() || out.len() >= WRITE_AT {
+            tally.fold();
+            write_queued(&mut writer, &mut out)?;
+        }
+        if shutdown {
+            stop.store(true, Ordering::SeqCst);
+            poke(local);
+            return Ok(());
         }
     }
     Ok(())
 }
 
-/// Decodes and applies one request frame, recording its telemetry. An
+/// Decodes and applies one request frame, tallying its telemetry. An
 /// undecodable payload is answered with a typed `BadRequest`.
-fn answer(
-    payload: &[u8],
-    model: &Mutex<ClusterModel>,
-    telemetry: &TelemetryHandle,
-) -> RackResponse {
+fn answer(payload: &[u8], model: &Mutex<ClusterModel>, tally: &mut Tally) -> RackResponse {
     let (op, response) = match decode(payload) {
         Ok(op) => {
             let response = model.lock().expect("model lock").apply(&op);
@@ -316,18 +434,6 @@ fn answer(
             },
         ),
     };
-    // One shard lock for the whole request's worth of samples; the
-    // model lock is already released.
-    telemetry.with(|reg| {
-        match &op {
-            Some(op) => reg.counter_add(op_counter(op), 1),
-            None => reg.counter_add("zombied.bad_frames", 1),
-        }
-        reg.counter_add(resp_counter(&response.body), 1);
-        if let ResponseBody::Error(e) = &response.body {
-            reg.counter_add(err_counter(e), 1);
-        }
-        reg.hist_record("zombied.decision_ns", response.decision.as_nanos());
-    });
+    tally.record(op.as_ref(), &response);
     response
 }

@@ -5,11 +5,13 @@ use std::io::{Read, Write};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use zombieland_core::codec::{decode_response, encode, encode_response, ErrorFrame, ResponseBody};
+use zombieland_core::codec::{
+    decode_response, encode, encode_response, ErrorFrame, RackResponse, ResponseBody,
+};
 use zombieland_core::protocol::RackOp;
 use zombieland_core::ServerId;
 use zombieland_daemon::client::ZlClient;
-use zombieland_daemon::framing::{read_frame, write_frame};
+use zombieland_daemon::framing::FrameReader;
 use zombieland_daemon::model::{ClusterModel, ModelConfig};
 use zombieland_daemon::replay::{run_replay, ReplayConfig};
 use zombieland_daemon::server::Daemon;
@@ -46,25 +48,36 @@ fn spawn_unix_daemon(cfg: ModelConfig, tag: &str) -> (Endpoint, JoinHandle<()>) 
 /// it lost.
 const ANSWER_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// A raw byte stream to a daemon, with [`ANSWER_TIMEOUT`] on reads.
-trait RawConn: Read + Write {}
-impl<T: Read + Write> RawConn for T {}
-
-fn raw_connect(endpoint: &Endpoint) -> Box<dyn RawConn> {
+/// A raw byte stream to a daemon, as a write half and a read half (a
+/// clone of the same socket) with [`ANSWER_TIMEOUT`] on reads.
+fn raw_connect(endpoint: &Endpoint) -> (Box<dyn Write>, Box<dyn Read>) {
     match endpoint {
         Endpoint::Tcp(addr) => {
             let s = std::net::TcpStream::connect(addr.as_str()).expect("raw tcp connect");
             s.set_nodelay(true).expect("nodelay");
             s.set_read_timeout(Some(ANSWER_TIMEOUT)).expect("timeout");
-            Box::new(s)
+            (Box::new(s.try_clone().expect("clone")), Box::new(s))
         }
         #[cfg(unix)]
         Endpoint::Unix(path) => {
             let s = std::os::unix::net::UnixStream::connect(path).expect("raw unix connect");
             s.set_read_timeout(Some(ANSWER_TIMEOUT)).expect("timeout");
-            Box::new(s)
+            (Box::new(s.try_clone().expect("clone")), Box::new(s))
         }
     }
+}
+
+/// A raw connection whose answers are read frame by frame.
+fn raw_framed(endpoint: &Endpoint) -> (Box<dyn Write>, FrameReader<Box<dyn Read>>) {
+    let (w, r) = raw_connect(endpoint);
+    (w, FrameReader::new(r))
+}
+
+/// One frame on the wire: the payload's length as a little-endian
+/// `u32`, then the payload.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let len = u32::try_from(payload.len()).expect("test frames fit a u32");
+    [&len.to_le_bytes()[..], payload].concat()
 }
 
 fn shutdown(endpoint: &Endpoint, handle: JoinHandle<()>) {
@@ -158,28 +171,23 @@ fn malformed_frame_gets_a_typed_bad_request_and_connection_survives() {
 
     // Raw garbage payload in a well-formed frame: the server answers
     // with a BadRequest error frame instead of dropping the connection.
-    let Endpoint::Tcp(addr) = &endpoint else {
-        unreachable!()
-    };
-    let mut raw = std::net::TcpStream::connect(addr.as_str()).expect("raw connect");
-    write_frame(&mut raw, &[0xEE, 0xEE, 0xEE]).expect("send garbage");
-    let payload = read_frame(&mut raw).expect("read answer").expect("frame");
-    let resp = zombieland_core::codec::decode_response(&payload).expect("typed answer");
+    let (mut w, mut raw) = raw_framed(&endpoint);
+    w.write_all(&frame(&[0xEE, 0xEE, 0xEE]))
+        .expect("send garbage");
+    let payload = raw.next_frame().expect("read answer").expect("frame");
+    let resp = zombieland_core::codec::decode_response(payload).expect("typed answer");
     assert_eq!(
         resp.body,
         ResponseBody::Error(ErrorFrame::BadRequest { code: 2 }),
         "unknown opcode class"
     );
     // The same connection still serves well-formed requests.
-    write_frame(
-        &mut raw,
-        &zombieland_core::codec::encode(&RackOp::GetLruZombie),
-    )
-    .expect("send valid");
-    let payload = read_frame(&mut raw).expect("read answer").expect("frame");
-    let resp = zombieland_core::codec::decode_response(&payload).expect("decode");
+    w.write_all(&frame(&encode(&RackOp::GetLruZombie)))
+        .expect("send valid");
+    let payload = raw.next_frame().expect("read answer").expect("frame");
+    let resp = zombieland_core::codec::decode_response(payload).expect("decode");
     assert!(matches!(resp.body, ResponseBody::LruZombie { .. }));
-    drop(raw);
+    drop((w, raw));
 
     // Typed state errors come back over the socket too.
     let r = c
@@ -305,17 +313,19 @@ fn replay_metrics_are_byte_identical_across_daemons() {
 
 /// Reads one response off a raw connection; a read that times out means
 /// the server held back an answer it owed.
-fn read_answer(raw: &mut impl Read, what: &str) -> ResponseBody {
-    let payload = read_frame(raw)
+fn read_answer(raw: &mut FrameReader<impl Read>, what: &str) -> ResponseBody {
+    let payload = raw
+        .next_frame()
         .unwrap_or_else(|e| panic!("{what}: no answer within {ANSWER_TIMEOUT:?}: {e}"))
         .unwrap_or_else(|| panic!("{what}: server closed"));
-    decode_response(&payload).expect("typed answer").body
+    decode_response(payload).expect("typed answer").body
 }
 
 /// A lone request is answered without a second request behind it.
 fn lone_request_is_answered(endpoint: &Endpoint) {
-    let mut raw = raw_connect(endpoint);
-    write_frame(&mut raw, &encode(&RackOp::GetLruZombie)).expect("send");
+    let (mut w, mut raw) = raw_framed(endpoint);
+    w.write_all(&frame(&encode(&RackOp::GetLruZombie)))
+        .expect("send");
     let body = read_answer(&mut raw, "lone request");
     assert!(matches!(body, ResponseBody::LruZombie { .. }), "{body:?}");
 }
@@ -325,23 +335,17 @@ fn lone_request_is_answered(endpoint: &Endpoint) {
 /// its read buffer is not a reason to hold answers back), then answer B
 /// once it is whole.
 fn half_frame_does_not_hold_back_earlier_answers(endpoint: &Endpoint) {
-    let mut raw = raw_connect(endpoint);
-    let mut b = Vec::new();
-    write_frame(
-        &mut b,
-        &encode(&RackOp::AsGetFreeMem {
-            host: ServerId::new(1),
-        }),
-    )
-    .unwrap();
+    let (mut w, mut raw) = raw_framed(endpoint);
+    let b = frame(&encode(&RackOp::AsGetFreeMem {
+        host: ServerId::new(1),
+    }));
     for cut in 1..b.len() {
-        let mut burst = Vec::new();
-        write_frame(&mut burst, &encode(&RackOp::GetLruZombie)).unwrap();
+        let mut burst = frame(&encode(&RackOp::GetLruZombie));
         burst.extend_from_slice(&b[..cut]);
-        raw.write_all(&burst).expect("send A and part of B");
+        w.write_all(&burst).expect("send A and part of B");
         let a = read_answer(&mut raw, &format!("A with B cut at {cut}"));
         assert!(matches!(a, ResponseBody::LruZombie { .. }), "{a:?}");
-        raw.write_all(&b[cut..]).expect("finish B");
+        w.write_all(&b[cut..]).expect("finish B");
         let b_answer = read_answer(&mut raw, &format!("B cut at {cut}"));
         assert!(
             !matches!(b_answer, ResponseBody::Error(ErrorFrame::BadRequest { .. })),
@@ -403,16 +407,12 @@ fn op_stream(len: usize, servers: u32) -> Vec<RackOp> {
         .collect()
 }
 
-/// The encoded answers to `ops`, sent with `window` requests in flight
+/// The answers to `ops` on `c`, sent with `window` requests in flight
 /// (`send`/`flush`/`recv`, as the replay harness does) or, for window 0,
 /// one at a time through `call`.
-fn encoded_answers(endpoint: &Endpoint, ops: &[RackOp], window: usize) -> Vec<Vec<u8>> {
-    let mut c = ZlClient::connect(endpoint).expect("connect");
+fn answers(c: &mut ZlClient, ops: &[RackOp], window: usize) -> Vec<RackResponse> {
     if window == 0 {
-        return ops
-            .iter()
-            .map(|op| encode_response(&c.call(op).expect("call")))
-            .collect();
+        return ops.iter().map(|op| c.call(op).expect("call")).collect();
     }
     let mut answers = Vec::with_capacity(ops.len());
     let mut next = ops.iter();
@@ -424,10 +424,19 @@ fn encoded_answers(endpoint: &Endpoint, ops: &[RackOp], window: usize) -> Vec<Ve
             in_flight += 1;
         }
         c.flush().expect("flush");
-        answers.push(encode_response(&c.recv().expect("recv")));
+        answers.push(c.recv().expect("recv"));
         in_flight -= 1;
     }
     answers
+}
+
+/// The encoded [`answers`] to `ops` on a fresh connection.
+fn encoded_answers(endpoint: &Endpoint, ops: &[RackOp], window: usize) -> Vec<Vec<u8>> {
+    let mut c = ZlClient::connect(endpoint).expect("connect");
+    answers(&mut c, ops, window)
+        .iter()
+        .map(encode_response)
+        .collect()
 }
 
 /// Pipelining changes when bytes move, never what the daemon answers:
@@ -486,12 +495,12 @@ fn connections_open_gauge_tracks_live_connections() {
     assert_eq!(open(&mut scraper), 4.0);
 
     // A hostile frame header ends its connection in an error.
-    let mut hostile = raw_connect(&endpoint);
+    let (mut hostile, mut hostile_read) = raw_connect(&endpoint);
     hostile
         .write_all(&u32::MAX.to_le_bytes())
         .expect("send header");
     let mut rest = Vec::new();
-    let _ = hostile.read_to_end(&mut rest);
+    let _ = hostile_read.read_to_end(&mut rest);
     drop(clients);
 
     // The server notices the hang-ups on its own threads: poll for up
@@ -506,5 +515,84 @@ fn connections_open_gauge_tracks_live_connections() {
         now_open = open(&mut scraper);
     }
     assert_eq!(now_open, 1.0, "only the scraping connection is left");
+    shutdown(&endpoint, handle);
+}
+
+/// Telemetry folded once per burst still counts every answer: after a
+/// window-8 stream of 600 mixed ops on connection A, with A still open,
+/// a scrape from connection B sees each op, response tag and decision
+/// sample exactly once, and as many typed errors as A was answered.
+#[test]
+fn scrape_from_another_connection_counts_every_answer_already_sent() {
+    use zombieland_obs::telemetry::parse_exposition;
+
+    let (endpoint, handle) = spawn_daemon(ModelConfig::new(8, 11));
+    let ops = op_stream(600, 8);
+    let mut a = ZlClient::connect(&endpoint).expect("connect A");
+    let answered = answers(&mut a, &ops, 8);
+    let errors = answered
+        .iter()
+        .filter(|r| matches!(r.body, ResponseBody::Error(_)))
+        .count() as u64;
+    assert!(errors > 0, "the mixed stream draws typed refusals");
+
+    let mut b = ZlClient::connect(&endpoint).expect("connect B");
+    let snap = parse_exposition(&b.stats().expect("scrape")).expect("valid exposition");
+    assert_eq!(snap.counter_sum("zombied_op_"), 600);
+    assert_eq!(snap.counter_sum("zombied_resp_"), 600);
+    assert_eq!(snap.histograms["zombied_decision_ns"].count, 600);
+    assert_eq!(snap.counter_sum("zombied_err_"), errors);
+    assert_eq!(snap.counters["zombied_resp_error"], errors);
+    drop(a);
+    shutdown(&endpoint, handle);
+}
+
+/// A frame larger than any read chunk, pipelined behind a small one,
+/// is reassembled and answered typed; a header declaring one byte past
+/// `MAX_FRAME` ends only its own connection.
+#[test]
+fn large_frames_are_served_and_oversized_ones_end_only_their_connection() {
+    use zombieland_daemon::framing::MAX_FRAME;
+
+    let (endpoint, handle) = spawn_daemon(ModelConfig::new(8, 11));
+    let (mut w, mut raw) = raw_framed(&endpoint);
+    let big = RackOp::UsReclaim {
+        user: ServerId::new(1),
+        buff_ids: (0..2_000).map(BufferId::new).collect(),
+    };
+    let burst = [frame(&encode(&RackOp::GetLruZombie)), frame(&encode(&big))].concat();
+    assert!(
+        burst.len() > 8 << 10,
+        "more than one 8 KiB read: {}",
+        burst.len()
+    );
+    w.write_all(&burst).expect("send the burst");
+    let small = read_answer(&mut raw, "small request");
+    assert!(matches!(small, ResponseBody::LruZombie { .. }), "{small:?}");
+    let answer = read_answer(&mut raw, "2,000-id US_reclaim");
+    assert!(
+        !matches!(answer, ResponseBody::Error(ErrorFrame::BadRequest { .. })),
+        "{answer:?}"
+    );
+
+    // The same live connection now declares an oversized frame: the
+    // server drops it without an answer.
+    w.write_all(&(MAX_FRAME as u32 + 1).to_le_bytes())
+        .expect("send the header");
+    match raw.next_frame() {
+        Ok(frame) => assert_eq!(frame, None, "no answer to an oversized frame"),
+        Err(e) => assert!(
+            !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "the connection was left open: {e}"
+        ),
+    }
+
+    // The next connection is served.
+    let mut c = ZlClient::connect(&endpoint).expect("connect");
+    let r = c.call(&RackOp::GetLruZombie).expect("call");
+    assert!(matches!(r.body, ResponseBody::LruZombie { .. }), "{r:?}");
     shutdown(&endpoint, handle);
 }

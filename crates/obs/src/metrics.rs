@@ -82,7 +82,8 @@ impl Histogram {
         (64 - v.leading_zeros()) as usize
     }
 
-    fn record(&mut self, v: u64) {
+    /// Records one sample.
+    pub fn record(&mut self, v: u64) {
         self.buckets[Self::bucket_of(v)] += 1;
         self.count += 1;
         self.sum = self.sum.wrapping_add(v);
@@ -181,6 +182,16 @@ impl MetricRegistry {
             return;
         }
         self.histograms.entry(name).or_default().record_n(v, n);
+    }
+
+    /// Merges a whole histogram of samples into the named one, as if
+    /// each sample had been recorded there. An empty `h` is a no-op and
+    /// does not create the entry.
+    pub fn hist_merge(&mut self, name: &'static str, h: &Histogram) {
+        if h.count == 0 {
+            return;
+        }
+        self.histograms.entry(name).or_default().merge(h);
     }
 
     /// Reads a counter (0 when never touched).

@@ -256,6 +256,14 @@ if [ "$SUM1" -ne 4007 ]; then
     echo "verify: FAIL — scraped op counters sum to $SUM1, expected 4007" >&2
     exit 1
 fi
+# Each connection folds its tally before it writes answers, so the
+# response tags and decision samples count the same 4007 requests.
+RESP1=$(awk '/^zombied_resp_/ { s += $2 } END { print s + 0 }' "$ZL_DIR/s1.txt")
+DECIDED1=$(awk '$1 == "zombied_decision_ns_count" { print $2 }' "$ZL_DIR/s1.txt")
+if [ "$RESP1" -ne 4007 ] || [ "${DECIDED1:-0}" -ne 4007 ]; then
+    echo "verify: FAIL — scraped $RESP1 responses and ${DECIDED1:-0} decisions, expected 4007 each" >&2
+    exit 1
+fi
 # Scraping again must be monotone and count the scrape itself.
 ./target/release/zlctl --connect "$ZL_EP" stats > "$ZL_DIR/s2.txt"
 SUM2=$(awk '/^zombied_op_/ { s += $2 } END { print s + 0 }' "$ZL_DIR/s2.txt")
