@@ -6,17 +6,21 @@
 //! the buffer, and the server currently using this buffer (nil if it is
 //! not yet allocated to a server)."
 //!
-//! The database is a pure, deterministic state machine: the same sequence
-//! of calls yields the same state. That is what makes the synchronous
-//! mirroring in [`crate::ha`] trivial to reason about — the secondary is
-//! just a replica that replays the calls.
+//! The database is a pure, deterministic state machine, and every
+//! mutation comes in two halves: a decision (`decide_*`, `&self`) that
+//! validates the request against the rows and returns its [`Effect`] —
+//! the rows to insert, the picked ids, the reclaim plan, the ids to
+//! release — and an infallible [`Effect::commit`] that applies it. That
+//! is what makes the synchronous mirroring in [`crate::ha`] trivial to
+//! reason about: the secondary is a replica that commits the effects the
+//! active controller decided, and a refused decision touches neither.
 
 use core::fmt;
 use std::collections::{BTreeMap, BTreeSet};
 
 use zombieland_mem::buffer::{BufferId, BUFF_SIZE};
 use zombieland_rdma::MrKey;
-use zombieland_simcore::Bytes;
+use zombieland_simcore::{Bytes, FastMap};
 
 use crate::server::ServerId;
 
@@ -126,93 +130,243 @@ struct HostInfo {
 /// each host's free set and the rack-wide free count. Requests read those
 /// instead of scanning the table, so an op costs what it answers about,
 /// not the size of the pool ([`CtrlDb::check_index`] recomputes them).
+/// The rows sit in a hash table keyed by id, never iterated where order
+/// shows: each host's `lent` list carries the id order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CtrlDb {
-    buffers: BTreeMap<BufferId, BufferRecord>,
+    /// Keyed by ids this database assigns (`next_id`), never by ids a
+    /// request names, so the fast hash's keys cannot be crafted.
+    buffers: FastMap<BufferId, BufferRecord>,
     hosts: BTreeMap<ServerId, HostInfo>,
     next_id: u64,
     /// Rows without a user, rack-wide.
     free: u64,
 }
 
-impl CtrlDb {
-    /// Creates an empty database.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// A decided mutation of a [`CtrlDb`]: what a `decide_*` call returns.
+///
+/// The decision validated everything against one replica, so committing
+/// the effect to that replica — or to any replica equal to it — cannot
+/// fail. [`crate::ha::HaPair`] mirrors by committing one effect to both.
+pub trait Effect: fmt::Debug + PartialEq {
+    /// Applies the effect to `db`.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `db` differs from the replica the effect was decided
+    /// on.
+    fn commit(&self, db: &mut CtrlDb);
+}
 
-    /// Registers a server (initially active, lending nothing). Idempotent.
-    pub fn register_host(&mut self, host: ServerId) {
-        self.hosts.entry(host).or_default();
+/// A decided lend (`GS_goto_zombie` / `AS_get_free_mem`): one new row per
+/// MR key, with consecutive ids.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Lend<'a> {
+    host: ServerId,
+    first: u64,
+    mrs: &'a [MrKey],
+    kind: BufferKind,
+    /// The host turns zombie with this lend: its earlier rows flip kind.
+    zombifies: bool,
+}
+
+impl Lend<'_> {
+    /// The ids of the new rows, ascending.
+    pub fn ids(&self) -> impl Iterator<Item = BufferId> {
+        (self.first..self.first + self.mrs.len() as u64).map(BufferId::new)
+    }
+}
+
+impl Effect for Lend<'_> {
+    fn commit(&self, db: &mut CtrlDb) {
+        debug_assert_eq!(db.next_id, self.first, "lend decided on another replica");
+        let info = db
+            .hosts
+            .get_mut(&self.host)
+            .expect("decided on a registered host");
+        if self.zombifies {
+            info.is_zombie = true;
+            for b in &info.lent {
+                db.buffers.get_mut(b).expect("lent list consistent").kind = BufferKind::Zombie;
+            }
+        }
+        for (id, &mr) in self.ids().zip(self.mrs) {
+            db.buffers.insert(
+                id,
+                BufferRecord {
+                    id,
+                    host: self.host,
+                    mr,
+                    size: BUFF_SIZE,
+                    kind: self.kind,
+                    user: None,
+                },
+            );
+            info.lent.push(id);
+            info.free.insert(id);
+        }
+        db.next_id = self.first + self.mrs.len() as u64;
+        db.free += self.mrs.len() as u64;
+    }
+}
+
+/// A decided wake-up: the host's remaining rows turn active-type.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MarkAwake(ServerId);
+
+impl Effect for MarkAwake {
+    fn commit(&self, db: &mut CtrlDb) {
+        let info = db
+            .hosts
+            .get_mut(&self.0)
+            .expect("decided on a registered host");
+        info.is_zombie = false;
+        for b in &info.lent {
+            db.buffers.get_mut(b).expect("lent list consistent").kind = BufferKind::Active;
+        }
+    }
+}
+
+/// A decided allocation: the picked rows, as they read once committed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Allocation {
+    /// The granted rows, in pick order, with their new user.
+    pub records: Vec<BufferRecord>,
+}
+
+impl Effect for Allocation {
+    fn commit(&self, db: &mut CtrlDb) {
+        for rec in &self.records {
+            db.buffers
+                .get_mut(&rec.id)
+                .expect("picked from live rows")
+                .user = rec.user;
+            db.hosts
+                .get_mut(&rec.host)
+                .expect("row host registered")
+                .free
+                .remove(&rec.id);
+        }
+        db.free -= self.records.len() as u64;
+    }
+}
+
+/// A decided release: every id names a row of the releasing user.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Release<'a>(&'a [BufferId]);
+
+impl Effect for Release<'_> {
+    fn commit(&self, db: &mut CtrlDb) {
+        for id in self.0 {
+            let rec = db.buffers.get_mut(id).expect("decided on a live row");
+            // A duplicated id is freed once.
+            if rec.user.take().is_some() {
+                db.free += 1;
+                db.hosts
+                    .get_mut(&rec.host)
+                    .expect("row host registered")
+                    .free
+                    .insert(*id);
+            }
+        }
+    }
+}
+
+/// A decided ownership transfer: every id moves to `to`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Reassign<'a> {
+    to: ServerId,
+    ids: &'a [BufferId],
+}
+
+impl Effect for Reassign<'_> {
+    fn commit(&self, db: &mut CtrlDb) {
+        for id in self.ids {
+            db.buffers.get_mut(id).expect("decided on a live row").user = Some(self.to);
+        }
+    }
+}
+
+/// A decided reclaim: the plan's rows leave the database.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Reclaim {
+    host: ServerId,
+    /// What the caller returns, revokes and deregisters.
+    pub plan: ReclaimPlan,
+}
+
+impl Effect for Reclaim {
+    fn commit(&self, db: &mut CtrlDb) {
+        let plan = &self.plan;
+        for b in plan.all_buffers() {
+            db.buffers.remove(&b).expect("planned from live rows");
+        }
+        let info = db
+            .hosts
+            .get_mut(&self.host)
+            .expect("decided on a registered host");
+        for b in &plan.returned_free {
+            info.free.remove(b);
+        }
+        db.free -= plan.returned_free.len() as u64;
+        // Both id lists are ascending subsequences of `lent`, so one
+        // merge walk prunes it without looking up a row.
+        let mut free = plan.returned_free.iter().peekable();
+        let mut revoked = plan.revoked.iter().map(|(_, b)| b).peekable();
+        info.lent
+            .retain(|b| free.next_if_eq(&b).is_none() && revoked.next_if_eq(&b).is_none());
+    }
+}
+
+impl CtrlDb {
+    /// Creates a database with `hosts` registered (each active, lending
+    /// nothing).
+    pub fn with_hosts(hosts: impl IntoIterator<Item = ServerId>) -> Self {
+        CtrlDb {
+            hosts: hosts
+                .into_iter()
+                .map(|h| (h, HostInfo::default()))
+                .collect(),
+            ..Self::default()
+        }
     }
 
     fn host(&self, host: ServerId) -> Result<&HostInfo, DbError> {
         self.hosts.get(&host).ok_or(DbError::UnknownHost(host))
     }
 
-    /// Records buffers lent by `host` (one `MrKey` per buffer) and — when
-    /// `zombie` — marks the host as transitioning to Sz. This implements
-    /// both `GS_goto_zombie(buffers)` and the active-server lending path
-    /// behind `AS_get_free_mem()`.
-    pub fn lend(
-        &mut self,
+    /// Decides a lend of buffers by `host` (one `MrKey` per buffer) that —
+    /// when `zombie` — marks the host as transitioning to Sz. This
+    /// implements both `GS_goto_zombie(buffers)` and the active-server
+    /// lending path behind `AS_get_free_mem()`.
+    pub fn decide_lend<'a>(
+        &self,
         host: ServerId,
-        mrs: &[MrKey],
+        mrs: &'a [MrKey],
         zombie: bool,
-    ) -> Result<Vec<BufferId>, DbError> {
+    ) -> Result<Lend<'a>, DbError> {
         // A host that is already a zombie cannot serve actively (its CPU
         // is off): any lend on its behalf is zombie-kind.
         let was_zombie = self.host(host)?.is_zombie;
-        let zombie = zombie || was_zombie;
-        let kind = if zombie {
+        let kind = if zombie || was_zombie {
             BufferKind::Zombie
         } else {
             BufferKind::Active
         };
-        let mut ids = Vec::with_capacity(mrs.len());
-        for &mr in mrs {
-            let id = BufferId::new(self.next_id);
-            self.next_id += 1;
-            self.buffers.insert(
-                id,
-                BufferRecord {
-                    id,
-                    host,
-                    mr,
-                    size: BUFF_SIZE,
-                    kind,
-                    user: None,
-                },
-            );
-            ids.push(id);
-        }
-        let info = self.hosts.get_mut(&host).expect("checked above");
-        if zombie && !was_zombie {
-            info.is_zombie = true;
-            // Existing lent buffers become zombie-type (a zombie's are
-            // already).
-            for b in &info.lent {
-                self.buffers.get_mut(b).expect("lent list consistent").kind = BufferKind::Zombie;
-            }
-        }
-        info.lent.extend(&ids);
-        info.free.extend(&ids);
-        self.free += ids.len() as u64;
-        Ok(ids)
+        Ok(Lend {
+            host,
+            first: self.next_id,
+            mrs,
+            kind,
+            zombifies: zombie && !was_zombie,
+        })
     }
 
-    /// Marks a host as awake again (its remaining lent buffers become
-    /// active-type).
-    pub fn mark_awake(&mut self, host: ServerId) -> Result<(), DbError> {
-        let info = self
-            .hosts
-            .get_mut(&host)
-            .ok_or(DbError::UnknownHost(host))?;
-        info.is_zombie = false;
-        for b in &info.lent {
-            self.buffers.get_mut(b).expect("lent list consistent").kind = BufferKind::Active;
-        }
-        Ok(())
+    /// Decides that a host is awake again (its remaining lent buffers
+    /// become active-type).
+    pub fn decide_mark_awake(&self, host: ServerId) -> Result<MarkAwake, DbError> {
+        self.host(host)?;
+        Ok(MarkAwake(host))
     }
 
     /// Whether a host is currently a zombie.
@@ -240,21 +394,22 @@ impl CtrlDb {
         self.buffers.get(&id).ok_or(DbError::UnknownBuffer(id))
     }
 
-    /// Allocates up to `nb` buffers for `user`, zombie memory first
-    /// ("memory from zombie servers have always higher priority than
-    /// memory from active servers"), striped round-robin across hosts so
-    /// one failing server costs as little as possible ("the memSize
-    /// allocation is backed by memory from multiple remote servers").
+    /// Decides an allocation of up to `nb` buffers for `user`, zombie
+    /// memory first ("memory from zombie servers have always higher
+    /// priority than memory from active servers"), striped round-robin
+    /// across hosts so one failing server costs as little as possible
+    /// ("the memSize allocation is backed by memory from multiple remote
+    /// servers").
     ///
     /// With `guaranteed` (the `GS_alloc_ext` contract) a shortfall is an
-    /// [`DbError::AdmissionDenied`] error and nothing is allocated; without
-    /// it (`GS_alloc_swap`) the call returns whatever was available.
-    pub fn allocate(
-        &mut self,
+    /// [`DbError::AdmissionDenied`] error; without it (`GS_alloc_swap`)
+    /// the allocation takes whatever is available.
+    pub fn decide_allocate(
+        &self,
         user: ServerId,
         nb: u64,
         guaranteed: bool,
-    ) -> Result<Vec<BufferRecord>, DbError> {
+    ) -> Result<Allocation, DbError> {
         let available = self.free_buffers();
         if guaranteed && available < nb {
             return Err(DbError::AdmissionDenied {
@@ -280,100 +435,76 @@ impl CtrlDb {
             }
         }
 
-        let mut picked = Vec::with_capacity(nb as usize);
+        // At most the free rows can be picked, however large `nb` is.
+        let want = nb.min(available) as usize;
+        let mut records = Vec::with_capacity(want);
         for group in [&mut zombie_hosts, &mut active_hosts] {
             // Round-robin striping across the hosts of this tier.
             let mut idx = 0usize;
-            while picked.len() < nb as usize && !group.is_empty() {
+            while records.len() < want && !group.is_empty() {
                 idx %= group.len();
-                if let Some(&b) = group[idx].next() {
-                    picked.push(b);
+                if let Some(b) = group[idx].next() {
+                    records.push(BufferRecord {
+                        user: Some(user),
+                        ..self.buffers[b]
+                    });
                     idx += 1;
                 } else {
                     let _exhausted = group.remove(idx);
                 }
             }
-            if picked.len() == nb as usize {
-                break;
-            }
         }
 
-        if guaranteed && picked.len() < nb as usize {
+        if guaranteed && records.len() < nb as usize {
             // The availability check counts the user's own free buffers,
             // which it may not take: nothing is allocated then.
             return Err(DbError::AdmissionDenied {
                 requested: nb,
-                available: picked.len() as u64,
+                available: records.len() as u64,
             });
         }
-
-        self.free -= picked.len() as u64;
-        let records = picked
-            .into_iter()
-            .map(|b| {
-                let rec = self.buffers.get_mut(&b).expect("picked from live set");
-                rec.user = Some(user);
-                self.hosts
-                    .get_mut(&rec.host)
-                    .expect("row host registered")
-                    .free
-                    .remove(&b);
-                *rec
-            })
-            .collect();
-        Ok(records)
+        Ok(Allocation { records })
     }
 
-    /// Releases buffers a user no longer needs.
-    pub fn release(&mut self, user: ServerId, ids: &[BufferId]) -> Result<(), DbError> {
-        // Validate everything first: release is all-or-nothing.
+    /// Checks that `user` holds every row of `ids`.
+    fn check_user(&self, user: ServerId, ids: &[BufferId]) -> Result<(), DbError> {
         for id in ids {
-            let rec = self.record(*id)?;
-            if rec.user != Some(user) {
+            if self.record(*id)?.user != Some(user) {
                 return Err(DbError::NotTheUser(*id, user));
             }
         }
-        for id in ids {
-            let rec = self.buffers.get_mut(id).expect("validated");
-            // A duplicated id is freed once.
-            if rec.user.take().is_some() {
-                self.free += 1;
-                self.hosts
-                    .get_mut(&rec.host)
-                    .expect("row host registered")
-                    .free
-                    .insert(*id);
-            }
-        }
         Ok(())
     }
 
-    /// Reassigns buffers from one user to another — the migration
-    /// protocol's "update the ownership pointers for the remote memory
-    /// components" (§5.3). All-or-nothing.
-    pub fn reassign(
-        &mut self,
+    /// Decides a release of buffers a user no longer needs. All-or-nothing:
+    /// every id must name a row of `user`; a duplicated id frees once.
+    pub fn decide_release<'a>(
+        &self,
+        user: ServerId,
+        ids: &'a [BufferId],
+    ) -> Result<Release<'a>, DbError> {
+        self.check_user(user, ids)?;
+        Ok(Release(ids))
+    }
+
+    /// Decides a reassignment of buffers from one user to another — the
+    /// migration protocol's "update the ownership pointers for the remote
+    /// memory components" (§5.3). All-or-nothing.
+    pub fn decide_reassign<'a>(
+        &self,
         from: ServerId,
         to: ServerId,
-        ids: &[BufferId],
-    ) -> Result<(), DbError> {
-        for id in ids {
-            let rec = self.record(*id)?;
-            if rec.user != Some(from) {
-                return Err(DbError::NotTheUser(*id, from));
-            }
-        }
-        for id in ids {
-            self.buffers.get_mut(id).expect("validated").user = Some(to);
-        }
-        Ok(())
+        ids: &'a [BufferId],
+    ) -> Result<Reassign<'a>, DbError> {
+        self.check_user(from, ids)?;
+        Ok(Reassign { to, ids })
     }
 
     /// Plans a reclaim of `nb` of `host`'s buffers (`GS_reclaim`):
     /// unallocated buffers first, then allocated ones (which the caller
-    /// must revoke from their users via `US_reclaim`). The reclaimed
-    /// buffers leave the database.
-    pub fn reclaim(&mut self, host: ServerId, nb: u64) -> Result<ReclaimPlan, DbError> {
+    /// must revoke from their users via `US_reclaim`). Committing it
+    /// removes the reclaimed buffers from the database.
+    pub fn decide_reclaim(&self, host: ServerId, nb: u64) -> Result<Reclaim, DbError> {
         let info = self.host(host)?;
         let mut plan = ReclaimPlan::default();
         // Pass 1: free buffers, in lent order.
@@ -388,23 +519,8 @@ impl CtrlDb {
                 .take(wanted)
                 .map(|&b| (self.buffers[&b].user.expect("not free"), b)),
         );
-        // Apply: remove reclaimed rows, keeping their MR keys.
-        plan.mrs = plan
-            .all_buffers()
-            .map(|b| self.buffers.remove(&b).expect("planned from live rows").mr)
-            .collect();
-        let info = self.hosts.get_mut(&host).expect("checked above");
-        for b in &plan.returned_free {
-            info.free.remove(b);
-        }
-        self.free -= plan.returned_free.len() as u64;
-        // Both id lists are ascending subsequences of `lent`, so one
-        // merge walk prunes it without looking up a row.
-        let mut free = plan.returned_free.iter().peekable();
-        let mut revoked = plan.revoked.iter().map(|(_, b)| b).peekable();
-        info.lent
-            .retain(|b| free.next_if_eq(&b).is_none() && revoked.next_if_eq(&b).is_none());
-        Ok(plan)
+        plan.mrs = plan.all_buffers().map(|b| self.buffers[&b].mr).collect();
+        Ok(Reclaim { host, plan })
     }
 
     /// `GS_get_lru_zombie()`: the zombie host with the fewest *allocated*
@@ -418,13 +534,16 @@ impl CtrlDb {
             .map(|(_, host)| host)
     }
 
-    /// Buffers currently allocated to `user`.
+    /// Buffers currently allocated to `user`, in id order.
     pub fn buffers_of_user(&self, user: ServerId) -> Vec<BufferRecord> {
-        self.buffers
+        let mut mine: Vec<BufferRecord> = self
+            .buffers
             .values()
             .filter(|b| b.user == Some(user))
             .copied()
-            .collect()
+            .collect();
+        mine.sort_unstable_by_key(|b| b.id);
+        mine
     }
 
     /// Buffers lent by `host` that are still in the pool.
@@ -500,14 +619,23 @@ mod tests {
         ServerId::new(n)
     }
 
+    /// Commits a decision to the database it was decided on, as a
+    /// replica without a mirror would.
+    fn run<E: Effect>(decided: Result<E, DbError>, db: &mut CtrlDb) -> Result<E, DbError> {
+        let effect = decided?;
+        effect.commit(db);
+        Ok(effect)
+    }
+
     fn db_with_zombie_and_active() -> CtrlDb {
-        let mut db = CtrlDb::new();
-        for s in 0..4 {
-            db.register_host(srv(s));
-        }
+        let mut db = CtrlDb::with_hosts((0..4).map(srv));
         // srv1 zombifies with 3 buffers, srv2 lends 2 active buffers.
-        db.lend(srv(1), &[mr(0), mr(1), mr(2)], true).unwrap();
-        db.lend(srv(2), &[mr(3), mr(4)], false).unwrap();
+        run(
+            db.decide_lend(srv(1), &[mr(0), mr(1), mr(2)], true),
+            &mut db,
+        )
+        .unwrap();
+        run(db.decide_lend(srv(2), &[mr(3), mr(4)], false), &mut db).unwrap();
         db
     }
 
@@ -523,27 +651,30 @@ mod tests {
     #[test]
     fn zombie_memory_has_priority() {
         let mut db = db_with_zombie_and_active();
-        let got = db.allocate(srv(0), 3, true).unwrap();
+        let got = run(db.decide_allocate(srv(0), 3, true), &mut db)
+            .unwrap()
+            .records;
         assert_eq!(got.len(), 3);
         assert!(
             got.iter().all(|b| b.kind == BufferKind::Zombie),
             "zombie buffers must be exhausted before active ones: {got:?}"
         );
         // The next allocation spills to active buffers.
-        let more = db.allocate(srv(0), 2, true).unwrap();
+        let more = run(db.decide_allocate(srv(0), 2, true), &mut db)
+            .unwrap()
+            .records;
         assert!(more.iter().all(|b| b.kind == BufferKind::Active));
     }
 
     #[test]
     fn striping_spreads_across_hosts() {
-        let mut db = CtrlDb::new();
-        for s in 0..4 {
-            db.register_host(srv(s));
-        }
-        db.lend(srv(1), &[mr(0), mr(1)], true).unwrap();
-        db.lend(srv(2), &[mr(2), mr(3)], true).unwrap();
-        db.lend(srv(3), &[mr(4), mr(5)], true).unwrap();
-        let got = db.allocate(srv(0), 3, true).unwrap();
+        let mut db = CtrlDb::with_hosts((0..4).map(srv));
+        run(db.decide_lend(srv(1), &[mr(0), mr(1)], true), &mut db).unwrap();
+        run(db.decide_lend(srv(2), &[mr(2), mr(3)], true), &mut db).unwrap();
+        run(db.decide_lend(srv(3), &[mr(4), mr(5)], true), &mut db).unwrap();
+        let got = run(db.decide_allocate(srv(0), 3, true), &mut db)
+            .unwrap()
+            .records;
         let hosts: std::collections::HashSet<ServerId> = got.iter().map(|b| b.host).collect();
         assert_eq!(hosts.len(), 3, "3 buffers from 3 hosts: {got:?}");
     }
@@ -551,7 +682,7 @@ mod tests {
     #[test]
     fn guaranteed_alloc_is_admission_controlled() {
         let mut db = db_with_zombie_and_active();
-        let err = db.allocate(srv(0), 6, true).unwrap_err();
+        let err = run(db.decide_allocate(srv(0), 6, true), &mut db).unwrap_err();
         assert_eq!(
             err,
             DbError::AdmissionDenied {
@@ -566,7 +697,9 @@ mod tests {
     #[test]
     fn best_effort_alloc_returns_partial() {
         let mut db = db_with_zombie_and_active();
-        let got = db.allocate(srv(0), 100, false).unwrap();
+        let got = run(db.decide_allocate(srv(0), 100, false), &mut db)
+            .unwrap()
+            .records;
         assert_eq!(got.len(), 5);
         assert_eq!(db.free_buffers(), 0);
     }
@@ -575,7 +708,9 @@ mod tests {
     fn never_allocates_own_memory() {
         let mut db = db_with_zombie_and_active();
         // srv1 lent everything zombie; it asks for remote memory itself.
-        let got = db.allocate(srv(1), 5, false).unwrap();
+        let got = run(db.decide_allocate(srv(1), 5, false), &mut db)
+            .unwrap()
+            .records;
         assert!(got.iter().all(|b| b.host != srv(1)), "{got:?}");
         assert_eq!(got.len(), 2, "only srv2's active buffers qualify");
     }
@@ -583,13 +718,15 @@ mod tests {
     #[test]
     fn release_returns_buffers_to_pool() {
         let mut db = db_with_zombie_and_active();
-        let got = db.allocate(srv(0), 2, true).unwrap();
+        let got = run(db.decide_allocate(srv(0), 2, true), &mut db)
+            .unwrap()
+            .records;
         let ids: Vec<BufferId> = got.iter().map(|b| b.id).collect();
-        db.release(srv(0), &ids).unwrap();
+        run(db.decide_release(srv(0), &ids), &mut db).unwrap();
         assert_eq!(db.free_buffers(), 5);
         // Double release fails.
         assert!(matches!(
-            db.release(srv(0), &ids),
+            run(db.decide_release(srv(0), &ids), &mut db),
             Err(DbError::NotTheUser(..))
         ));
     }
@@ -597,10 +734,12 @@ mod tests {
     #[test]
     fn release_is_all_or_nothing() {
         let mut db = db_with_zombie_and_active();
-        let got = db.allocate(srv(0), 1, true).unwrap();
+        let got = run(db.decide_allocate(srv(0), 1, true), &mut db)
+            .unwrap()
+            .records;
         let mine = got[0].id;
         let bogus = BufferId::new(999);
-        assert!(db.release(srv(0), &[mine, bogus]).is_err());
+        assert!(run(db.decide_release(srv(0), &[mine, bogus]), &mut db).is_err());
         // The valid buffer is still allocated.
         assert_eq!(db.buffers_of_user(srv(0)).len(), 1);
     }
@@ -609,9 +748,11 @@ mod tests {
     fn reclaim_prefers_free_buffers() {
         let mut db = db_with_zombie_and_active();
         // Allocate one zombie buffer to srv0, leaving 2 free on srv1.
-        let got = db.allocate(srv(0), 1, true).unwrap();
+        let got = run(db.decide_allocate(srv(0), 1, true), &mut db)
+            .unwrap()
+            .records;
         assert_eq!(got[0].host, srv(1));
-        let plan = db.reclaim(srv(1), 2).unwrap();
+        let plan = run(db.decide_reclaim(srv(1), 2), &mut db).unwrap().plan;
         assert_eq!(plan.returned_free.len(), 2);
         assert!(plan.revoked.is_empty(), "free buffers sufficed");
         assert_eq!(db.buffers_of_host(srv(1)).len(), 1);
@@ -620,8 +761,8 @@ mod tests {
     #[test]
     fn reclaim_revokes_when_needed() {
         let mut db = db_with_zombie_and_active();
-        db.allocate(srv(0), 3, true).unwrap(); // All zombie buffers used.
-        let plan = db.reclaim(srv(1), 3).unwrap();
+        run(db.decide_allocate(srv(0), 3, true), &mut db).unwrap(); // All zombie buffers used.
+        let plan = run(db.decide_reclaim(srv(1), 3), &mut db).unwrap().plan;
         assert!(plan.returned_free.is_empty());
         assert_eq!(plan.revoked.len(), 3);
         assert!(plan.revoked.iter().all(|&(u, _)| u == srv(0)));
@@ -632,15 +773,14 @@ mod tests {
 
     #[test]
     fn lru_zombie_minimizes_reclaim() {
-        let mut db = CtrlDb::new();
-        for s in 0..4 {
-            db.register_host(srv(s));
-        }
-        db.lend(srv(1), &[mr(0), mr(1)], true).unwrap();
-        db.lend(srv(2), &[mr(2), mr(3)], true).unwrap();
+        let mut db = CtrlDb::with_hosts((0..4).map(srv));
+        run(db.decide_lend(srv(1), &[mr(0), mr(1)], true), &mut db).unwrap();
+        run(db.decide_lend(srv(2), &[mr(2), mr(3)], true), &mut db).unwrap();
         assert!(db.get_lru_zombie().is_some());
         // Allocate both of srv1's buffers; srv2 becomes the LRU zombie.
-        let got = db.allocate(srv(0), 4, false).unwrap();
+        let got = run(db.decide_allocate(srv(0), 4, false), &mut db)
+            .unwrap()
+            .records;
         let srv1_used = got.iter().filter(|b| b.host == srv(1)).count();
         assert!(srv1_used > 0);
         // Free srv2's buffers again.
@@ -649,14 +789,14 @@ mod tests {
             .filter(|b| b.host == srv(2))
             .map(|b| b.id)
             .collect();
-        db.release(srv(0), &ids).unwrap();
+        run(db.decide_release(srv(0), &ids), &mut db).unwrap();
         assert_eq!(db.get_lru_zombie(), Some(srv(2)));
     }
 
     #[test]
     fn wake_flips_buffer_kind() {
         let mut db = db_with_zombie_and_active();
-        db.mark_awake(srv(1)).unwrap();
+        run(db.decide_mark_awake(srv(1)), &mut db).unwrap();
         assert!(!db.is_zombie(srv(1)));
         assert!(db
             .buffers_of_host(srv(1))
@@ -669,13 +809,10 @@ mod tests {
     fn replaying_calls_reproduces_state() {
         // The mirroring precondition: CtrlDb is deterministic.
         let build = || {
-            let mut db = CtrlDb::new();
-            for s in 0..3 {
-                db.register_host(srv(s));
-            }
-            db.lend(srv(1), &[mr(0), mr(1)], true).unwrap();
-            db.allocate(srv(0), 1, true).unwrap();
-            db.reclaim(srv(1), 1).unwrap();
+            let mut db = CtrlDb::with_hosts((0..3).map(srv));
+            run(db.decide_lend(srv(1), &[mr(0), mr(1)], true), &mut db).unwrap();
+            run(db.decide_allocate(srv(0), 1, true), &mut db).unwrap();
+            run(db.decide_reclaim(srv(1), 1), &mut db).unwrap();
             db
         };
         assert_eq!(build(), build());

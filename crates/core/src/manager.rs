@@ -376,7 +376,8 @@ impl RemoteMemManager {
     /// Handles a `US_reclaim(buff_IDs)` revoking several buffers at once.
     /// All victims leave the granted set *before* any page is re-placed,
     /// so pages never relocate into a sibling that is itself being
-    /// revoked. Pages re-place in placement order.
+    /// revoked. Pages re-place in placement order. A duplicated id is
+    /// revoked once.
     pub fn revoke_many(&mut self, buffers: &[BufferId]) -> Result<Revocation, ManagerError> {
         for b in buffers {
             if !self.granted.contains_key(b) {
@@ -387,7 +388,8 @@ impl RemoteMemManager {
             .first()
             .map_or(PoolKind::Ext, |b| self.granted[b].pool);
         for b in buffers {
-            self.granted.remove(b).expect("validated above");
+            // Validated above: only a duplicate finds its buffer gone.
+            let _ = self.granted.remove(b);
         }
         let displaced = self.pages_in(buffers);
         let mut outcome = Revocation::default();
@@ -480,7 +482,7 @@ impl RemoteMemManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::CtrlDb;
+    use crate::db::{CtrlDb, Effect};
     use zombieland_rdma::Fabric;
 
     fn granted_records(n: usize) -> Vec<BufferRecord> {
@@ -490,11 +492,13 @@ mod tests {
         let mrs: Vec<_> = (0..n)
             .map(|_| f.register(node, Bytes::mib(64)).unwrap())
             .collect();
-        let mut db = CtrlDb::new();
-        db.register_host(ServerId::new(1));
-        db.register_host(ServerId::new(0));
-        db.lend(ServerId::new(1), &mrs, true).unwrap();
-        db.allocate(ServerId::new(0), n as u64, true).unwrap()
+        let mut db = CtrlDb::with_hosts([ServerId::new(0), ServerId::new(1)]);
+        db.decide_lend(ServerId::new(1), &mrs, true)
+            .unwrap()
+            .commit(&mut db);
+        db.decide_allocate(ServerId::new(0), n as u64, true)
+            .unwrap()
+            .records
     }
 
     #[test]

@@ -265,7 +265,11 @@ impl Rack {
         let mut fabric = Fabric::with_profile(config.link);
         let primary_node = fabric.attach();
         let secondary_node = fabric.attach();
-        let mut ha = HaPair::new(SimTime::ZERO, config.heartbeat_timeout);
+        let ha = HaPair::new(
+            SimTime::ZERO,
+            config.heartbeat_timeout,
+            (0..config.servers).map(ServerId::new),
+        );
 
         let mut servers = Vec::new();
         let mut managers = Vec::new();
@@ -276,7 +280,6 @@ impl Rack {
         for i in 0..config.servers {
             let id = ServerId::new(i);
             let node = fabric.attach();
-            ha.apply(|db| db.register_host(id));
             servers.push(ServerEntry {
                 id,
                 node,
@@ -471,7 +474,11 @@ impl Rack {
             buffers: nb,
         };
         let control = self.rpc_to_ctrl(s, &op)?;
-        let ids = self.ha.apply(|db| db.lend(s, &mrs, true))?;
+        let ids: Vec<BufferId> = self
+            .ha
+            .mutate(|db| db.decide_lend(s, &mrs, true))?
+            .ids()
+            .collect();
         let entry = self.entry_mut(s)?;
         entry.lent += ids.len() as u64;
         let suspend = entry.platform.suspend("zom")?;
@@ -496,7 +503,11 @@ impl Rack {
         for _ in 0..nb {
             mrs.push(self.fabric.register(node, BUFF_SIZE)?);
         }
-        let ids = self.ha.apply(|db| db.lend(s, &mrs, false))?;
+        let ids: Vec<BufferId> = self
+            .ha
+            .mutate(|db| db.decide_lend(s, &mrs, false))?
+            .ids()
+            .collect();
         self.entry_mut(s)?.lent += ids.len() as u64;
         Ok(ids)
     }
@@ -523,7 +534,7 @@ impl Rack {
         self.reclaim_into(s, reclaim_buffers, &mut out)?;
 
         // Any buffers it still lends are now active-type.
-        self.ha.apply(|db| db.mark_awake(s))?;
+        self.ha.mutate(|db| db.decide_mark_awake(s))?;
         Ok(out)
     }
 
@@ -561,7 +572,7 @@ impl Rack {
             };
             out.control += self.rpc_to_ctrl(s, &op)?;
             // The controller plans: free buffers first, then revocations.
-            let plan = self.ha.apply(|db| db.reclaim(s, nb))?;
+            let plan = self.ha.mutate(|db| db.decide_reclaim(s, nb))?.plan;
             out.reclaimed_free = plan.returned_free.len() as u64;
             out.revoked = plan.revoked.len() as u64;
 
@@ -624,7 +635,10 @@ impl Rack {
         nb: u64,
         guaranteed: bool,
     ) -> Result<Vec<BufferRecord>, RackError> {
-        Ok(self.ha.apply(|db| db.allocate(user, nb, guaranteed))?)
+        Ok(self
+            .ha
+            .mutate(|db| db.decide_allocate(user, nb, guaranteed))?
+            .records)
     }
 
     /// Harvests residual memory from active servers until `shortfall`
@@ -723,7 +737,7 @@ impl Rack {
         for b in buffers {
             self.managers[from_i].ungrant(*b)?;
         }
-        self.ha.apply(|db| db.reassign(from, to, buffers))?;
+        self.ha.mutate(|db| db.decide_reassign(from, to, buffers))?;
         for mut rec in records {
             rec.user = Some(to);
             // Transfers happen at the stack layer where buffers back VM
@@ -739,7 +753,7 @@ impl Rack {
         for b in buffers {
             self.managers[user_i].ungrant(*b)?;
         }
-        self.ha.apply(|db| db.release(user, buffers))?;
+        self.ha.mutate(|db| db.decide_release(user, buffers))?;
         Ok(())
     }
 
@@ -890,7 +904,7 @@ impl Rack {
         let nb = self.entry(s)?.lent;
         let mut lost_pages = 0u64;
         if nb > 0 {
-            let plan = self.ha.apply(|db| db.reclaim(s, nb))?;
+            let plan = self.ha.mutate(|db| db.decide_reclaim(s, nb))?.plan;
             for (user, buffer) in &plan.revoked {
                 lost_pages += self.managers[user.get() as usize]
                     .lose_buffer(*buffer)?

@@ -1,12 +1,13 @@
 //! Property tests: the controller database keeps its invariants under
-//! arbitrary operation sequences, stays deterministic (the mirroring
-//! precondition), and answers exactly like a plain row-scanning
-//! database does.
+//! arbitrary operation sequences, mirrors soundly (a decision does not
+//! mutate, and one committed effect keeps equal replicas equal), stays
+//! deterministic, and answers exactly like a plain row-scanning database
+//! does.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use zombieland_core::db::{BufferKind, BufferRecord, CtrlDb, DbError, ReclaimPlan};
+use zombieland_core::db::{BufferKind, BufferRecord, CtrlDb, DbError, Effect, ReclaimPlan};
 use zombieland_core::ServerId;
 use zombieland_mem::buffer::{BufferId, BUFF_SIZE};
 use zombieland_rdma::Fabric;
@@ -69,24 +70,62 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-/// Applies one op; returns whether it mutated the DB (errors are fine —
-/// they must just be the *right* errors).
-fn apply(db: &mut CtrlDb, fabric: &mut Fabric, node: zombieland_rdma::NodeId, op: &Op) {
+fn hosts() -> impl Iterator<Item = ServerId> {
+    (0..HOSTS).map(ServerId::new)
+}
+
+/// Decides on `replicas[0]` and commits the effect to every replica, as
+/// `HaPair` mirrors. Checks that the decision left the replica it read
+/// unchanged and that the effect kept the replicas equal.
+fn mirror<E: Effect>(
+    replicas: &mut [CtrlDb],
+    decide: impl Fn(&CtrlDb) -> Result<E, DbError>,
+) -> Result<E, DbError> {
+    let before = replicas[0].clone();
+    let decided = decide(&replicas[0]);
+    assert_eq!(replicas[0], before, "a decision mutated its replica");
+    let effect = decided?;
+    for db in replicas.iter_mut() {
+        effect.commit(db);
+    }
+    for db in &replicas[1..] {
+        assert_eq!(*db, replicas[0], "one effect left the replicas unequal");
+    }
+    Ok(effect)
+}
+
+/// Decides and commits on one database.
+fn run<E: Effect>(
+    db: &mut CtrlDb,
+    decide: impl Fn(&CtrlDb) -> Result<E, DbError>,
+) -> Result<E, DbError> {
+    mirror(std::slice::from_mut(db), decide)
+}
+
+/// Applies one op to every replica (errors are fine — they must just be
+/// the *right* errors).
+fn apply(replicas: &mut [CtrlDb], fabric: &mut Fabric, node: zombieland_rdma::NodeId, op: &Op) {
+    let db = &replicas[0];
     match op {
         Op::Lend { host, n, zombie } => {
             let mrs: Vec<_> = (0..*n)
                 .map(|_| fabric.register(node, Bytes::mib(64)).unwrap())
                 .collect();
-            db.lend(ServerId::new(*host), &mrs, *zombie).unwrap();
+            mirror(replicas, |db| {
+                db.decide_lend(ServerId::new(*host), &mrs, *zombie)
+            })
+            .unwrap();
         }
         Op::Alloc {
             user,
             nb,
             guaranteed,
-        } => match db.allocate(ServerId::new(*user), *nb as u64, *guaranteed) {
-            Ok(recs) => {
+        } => match mirror(replicas, |db| {
+            db.decide_allocate(ServerId::new(*user), *nb as u64, *guaranteed)
+        }) {
+            Ok(alloc) => {
                 if *guaranteed {
-                    assert_eq!(recs.len(), *nb as usize);
+                    assert_eq!(alloc.records.len(), *nb as usize);
                 }
             }
             Err(DbError::AdmissionDenied {
@@ -106,27 +145,33 @@ fn apply(db: &mut CtrlDb, fabric: &mut Fabric, node: zombieland_rdma::NodeId, op
                 .map(|r| r.id)
                 .collect();
             if !mine.is_empty() {
-                db.release(ServerId::new(*user), &mine).unwrap();
+                mirror(replicas, |db| {
+                    db.decide_release(ServerId::new(*user), &mine)
+                })
+                .unwrap();
             }
         }
         Op::ReleaseDup { user } => {
             if let Some(r) = db.buffers_of_user(ServerId::new(*user)).first() {
-                db.release(ServerId::new(*user), &[r.id, r.id]).unwrap();
+                let dup = [r.id, r.id];
+                mirror(replicas, |db| db.decide_release(ServerId::new(*user), &dup)).unwrap();
             }
         }
         Op::Reassign { from, to } => {
             let ids = reassignable(db.buffers_of_user(ServerId::new(*from)), *to);
-            db.reassign(ServerId::new(*from), ServerId::new(*to), &ids)
-                .unwrap();
+            mirror(replicas, |db| {
+                db.decide_reassign(ServerId::new(*from), ServerId::new(*to), &ids)
+            })
+            .unwrap();
         }
         Op::Reclaim { host, nb } => {
-            let plan = db.reclaim(ServerId::new(*host), *nb as u64).unwrap();
-            // Free buffers are always preferred: revocations happen only
-            // when the request exceeded the host's free lent buffers.
-            let _ = plan;
+            mirror(replicas, |db| {
+                db.decide_reclaim(ServerId::new(*host), *nb as u64)
+            })
+            .unwrap();
         }
         Op::Wake { host } => {
-            db.mark_awake(ServerId::new(*host)).unwrap();
+            mirror(replicas, |db| db.decide_mark_awake(ServerId::new(*host))).unwrap();
         }
     }
 }
@@ -354,12 +399,9 @@ proptest! {
     fn invariants_hold_under_arbitrary_ops(ops in ops()) {
         let mut fabric = Fabric::new();
         let node = fabric.attach();
-        let mut db = CtrlDb::new();
-        for h in 0..HOSTS {
-            db.register_host(ServerId::new(h));
-        }
+        let mut db = CtrlDb::with_hosts(hosts());
         for op in &ops {
-            apply(&mut db, &mut fabric, node, op);
+            apply(std::slice::from_mut(&mut db), &mut fabric, node, op);
 
             // Invariant 1: free count equals rows without a user.
             let mut free = 0u64;
@@ -400,11 +442,10 @@ proptest! {
     fn index_answers_like_the_scan_reference(ops in ops()) {
         let mut fabric = Fabric::new();
         let node = fabric.attach();
-        let mut db = CtrlDb::new();
+        let mut db = CtrlDb::with_hosts(hosts());
         let mut scan = ScanDb::default();
-        for h in 0..HOSTS {
-            db.register_host(ServerId::new(h));
-            scan.hosts.insert(ServerId::new(h), (false, Vec::new()));
+        for h in hosts() {
+            scan.hosts.insert(h, (false, Vec::new()));
         }
         for op in &ops {
             // The same call on both; the answers must agree, errors too.
@@ -414,12 +455,16 @@ proptest! {
                         .map(|_| fabric.register(node, Bytes::mib(64)).unwrap())
                         .collect();
                     let h = ServerId::new(*host);
-                    prop_assert_eq!(db.lend(h, &mrs, *zombie), scan.lend(h, &mrs, *zombie));
+                    let lent = run(&mut db, |db| db.decide_lend(h, &mrs, *zombie));
+                    prop_assert_eq!(
+                        lent.map(|l| l.ids().collect::<Vec<_>>()),
+                        scan.lend(h, &mrs, *zombie)
+                    );
                 }
                 Op::Alloc { user, nb, guaranteed } => {
                     let (u, nb) = (ServerId::new(*user), *nb as u64);
                     prop_assert_eq!(
-                        db.allocate(u, nb, *guaranteed),
+                        run(&mut db, |db| db.decide_allocate(u, nb, *guaranteed)).map(|a| a.records),
                         scan.allocate(u, nb, *guaranteed)
                     );
                 }
@@ -435,12 +480,18 @@ proptest! {
                     if ids.is_empty() {
                         ids.push(BufferId::new(u64::MAX));
                     }
-                    prop_assert_eq!(db.release(u, &ids), scan.set_users(u, None, &ids));
+                    prop_assert_eq!(
+                        run(&mut db, |db| db.decide_release(u, &ids)).map(|_| ()),
+                        scan.set_users(u, None, &ids)
+                    );
                 }
                 Op::Reassign { from, to } => {
                     let (f, t) = (ServerId::new(*from), ServerId::new(*to));
                     let ids = reassignable(db.buffers_of_user(f), *to);
-                    prop_assert_eq!(db.reassign(f, t, &ids), scan.set_users(f, Some(t), &ids));
+                    prop_assert_eq!(
+                        run(&mut db, |db| db.decide_reassign(f, t, &ids)).map(|_| ()),
+                        scan.set_users(f, Some(t), &ids)
+                    );
                 }
                 Op::Reclaim { host, nb } => {
                     let (h, nb) = (ServerId::new(*host), *nb as u64);
@@ -449,7 +500,7 @@ proptest! {
                         .into_iter()
                         .map(|r| (r.id, r))
                         .collect();
-                    let plan = db.reclaim(h, nb);
+                    let plan = run(&mut db, |db| db.decide_reclaim(h, nb)).map(|r| r.plan);
                     prop_assert_eq!(&plan, &scan.reclaim(h, nb));
                     // The plan carries each removed row's MR key, in
                     // `all_buffers` order.
@@ -459,7 +510,10 @@ proptest! {
                 }
                 Op::Wake { host } => {
                     let h = ServerId::new(*host);
-                    prop_assert_eq!(db.mark_awake(h), scan.mark_awake(h));
+                    prop_assert_eq!(
+                        run(&mut db, |db| db.decide_mark_awake(h)).map(|_| ()),
+                        scan.mark_awake(h)
+                    );
                 }
             }
             prop_assert_eq!(db.free_buffers(), scan.free_buffers(), "{:?}", op);
@@ -474,37 +528,38 @@ proptest! {
 
     #[test]
     fn replay_determinism(ops in ops()) {
-        // The same op sequence produces byte-identical databases — the
-        // property the HA mirroring relies on.
-        let run = |ops: &[Op]| {
+        // The mirroring precondition: every decision leaves the replica
+        // it read unchanged, and committing its effect to two equal
+        // replicas keeps them equal (`mirror` checks both on every op).
+        // And the same op sequence produces byte-identical databases.
+        let replay = |ops: &[Op]| {
             let mut fabric = Fabric::new();
             let node = fabric.attach();
-            let mut db = CtrlDb::new();
-            for h in 0..HOSTS {
-                db.register_host(ServerId::new(h));
-            }
+            let mut replicas = [CtrlDb::with_hosts(hosts()), CtrlDb::with_hosts(hosts())];
             for op in ops {
-                apply(&mut db, &mut fabric, node, op);
+                apply(&mut replicas, &mut fabric, node, op);
             }
-            db
+            let [primary, secondary] = replicas;
+            assert_eq!(primary, secondary);
+            primary
         };
-        prop_assert_eq!(run(&ops), run(&ops));
+        prop_assert_eq!(replay(&ops), replay(&ops));
     }
 
     #[test]
     fn reclaim_conserves_buffers(lent in 1u8..12, allocated in 0u8..12, take in 1u8..14) {
         let mut fabric = Fabric::new();
         let node = fabric.attach();
-        let mut db = CtrlDb::new();
-        db.register_host(ServerId::new(0));
-        db.register_host(ServerId::new(1));
+        let mut db = CtrlDb::with_hosts([ServerId::new(0), ServerId::new(1)]);
         let mrs: Vec<_> = (0..lent)
             .map(|_| fabric.register(node, Bytes::mib(64)).unwrap())
             .collect();
-        db.lend(ServerId::new(1), &mrs, true).unwrap();
-        let _ = db.allocate(ServerId::new(0), allocated as u64, false);
+        run(&mut db, |db| db.decide_lend(ServerId::new(1), &mrs, true)).unwrap();
+        let _ = run(&mut db, |db| db.decide_allocate(ServerId::new(0), allocated as u64, false));
         let before = db.len();
-        let plan = db.reclaim(ServerId::new(1), take as u64).unwrap();
+        let plan = run(&mut db, |db| db.decide_reclaim(ServerId::new(1), take as u64))
+            .unwrap()
+            .plan;
         let reclaimed = plan.returned_free.len() + plan.revoked.len();
         prop_assert_eq!(reclaimed, (take as usize).min(lent as usize));
         prop_assert_eq!(db.len(), before - reclaimed);

@@ -1,15 +1,15 @@
 //! Model-based property test: the remote-memory manager's page table
 //! answers exactly like a naive `BTreeMap<seq, PageLoc>` over random
-//! place / free / locate / rewrite / downgrade / lose / revoke / ungrant
-//! sequences — the same results, the same errors (a stale handle stays
-//! unknown after its table index is reused), and the same order of
-//! relocated, fallen-back and lost pages.
+//! place / free / locate / rewrite / downgrade / lose / revoke (a
+//! duplicated id included) / ungrant sequences — the same results, the
+//! same errors (a stale handle stays unknown after its table index is
+//! reused), and the same order of relocated, fallen-back and lost pages.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use zombieland_core::db::{BufferRecord, CtrlDb};
+use zombieland_core::db::{BufferRecord, CtrlDb, Effect};
 use zombieland_core::manager::{
     ManagerError, PageHandle, PageLoc, PoolKind, RemoteMemManager, Revocation,
 };
@@ -31,6 +31,7 @@ enum Op {
     Downgrade { pick: u16 },
     Lose { record: u8 },
     Revoke { first: u8, second: Option<u8> },
+    RevokeDup { record: u8 },
     Ungrant { record: u8 },
 }
 
@@ -51,6 +52,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
                 first,
                 second: two.then_some(second),
             }),
+            record().prop_map(|record| Op::RevokeDup { record }),
             record().prop_map(|record| Op::Ungrant { record }),
         ],
         1..80,
@@ -72,11 +74,14 @@ fn records() -> Vec<BufferRecord> {
     let mrs: Vec<_> = (0..RECORDS)
         .map(|_| fabric.register(node, Bytes::mib(64)).unwrap())
         .collect();
-    let mut db = CtrlDb::new();
-    db.register_host(ServerId::new(0));
-    db.register_host(ServerId::new(1));
-    db.lend(ServerId::new(1), &mrs, true).unwrap();
-    let mut recs = db.allocate(ServerId::new(0), RECORDS as u64, true).unwrap();
+    let mut db = CtrlDb::with_hosts([ServerId::new(0), ServerId::new(1)]);
+    db.decide_lend(ServerId::new(1), &mrs, true)
+        .unwrap()
+        .commit(&mut db);
+    let mut recs = db
+        .decide_allocate(ServerId::new(0), RECORDS as u64, true)
+        .unwrap()
+        .records;
     recs.sort_by_key(|r| r.id);
     recs
 }
@@ -276,6 +281,12 @@ proptest! {
                     }
                     let got = m.revoke_many(&buffers).map(|rev| flatten(&rev));
                     prop_assert_eq!(got, r.revoke(&buffers).map(split), "{:?}", op);
+                }
+                Op::RevokeDup { record } => {
+                    // The reference revokes a duplicated id once.
+                    let b = recs[record as usize].id;
+                    let got = m.revoke_many(&[b, b]).map(|rev| flatten(&rev));
+                    prop_assert_eq!(got, r.revoke(&[b, b]).map(split), "{:?}", op);
                 }
                 Op::Ungrant { record } => {
                     let b = recs[record as usize].id;

@@ -109,10 +109,11 @@ impl ClusterModel {
 
         let mut fabric = Fabric::new();
         let nodes: Vec<NodeId> = (0..cfg.servers).map(|_| fabric.attach()).collect();
-        let mut ha = HaPair::new(SimTime::ZERO, HEARTBEAT_TIMEOUT);
-        for i in 0..cfg.servers {
-            ha.apply(|db| db.register_host(ServerId::new(i)));
-        }
+        let ha = HaPair::new(
+            SimTime::ZERO,
+            HEARTBEAT_TIMEOUT,
+            (0..cfg.servers).map(ServerId::new),
+        );
         let mut model = ClusterModel {
             fabric,
             nodes,
@@ -209,8 +210,10 @@ impl ClusterModel {
             .collect();
         let ids = self
             .ha
-            .apply(|db| db.lend(host, &mrs, zombie))
-            .map_err(db_error_frame)?;
+            .mutate(|db| db.decide_lend(host, &mrs, zombie))
+            .map_err(db_error_frame)?
+            .ids()
+            .collect();
         self.unlent[idx] -= BUFF_SIZE * n;
         self.lent_bytes += BUFF_SIZE * n;
         Ok(ids)
@@ -227,8 +230,9 @@ impl ClusterModel {
         let nb = buffers_for(mem_size);
         let records = self
             .ha
-            .apply(|db| db.allocate(user, nb, guaranteed))
-            .map_err(db_error_frame)?;
+            .mutate(|db| db.decide_allocate(user, nb, guaranteed))
+            .map_err(db_error_frame)?
+            .records;
         let pool = if guaranteed {
             PoolKind::Ext
         } else {
@@ -288,8 +292,9 @@ impl ClusterModel {
                 }
                 let plan = self
                     .ha
-                    .apply(|db| db.reclaim(*host, *nb_buffers))
-                    .map_err(db_error_frame)?;
+                    .mutate(|db| db.decide_reclaim(*host, *nb_buffers))
+                    .map_err(db_error_frame)?
+                    .plan;
                 // Destroy the channels: deregister every reclaimed MR.
                 for &mr in &plan.mrs {
                     self.fabric
@@ -318,7 +323,7 @@ impl ClusterModel {
                     .ok_or(ErrorFrame::UnknownHost(*user))?;
                 let rev = manager.revoke_many(buff_ids).map_err(manager_error_frame)?;
                 // The controller's database drops the user's claim.
-                let _ = self.ha.apply(|db| db.release(*user, buff_ids));
+                let _ = self.ha.mutate(|db| db.decide_release(*user, buff_ids));
                 Ok(ResponseBody::Revoked {
                     relocated: rev.relocated.len() as u64,
                     fell_back: rev.fell_back.len() as u64,
@@ -541,6 +546,40 @@ mod tests {
             ),
             "{r:?}"
         );
+    }
+
+    #[test]
+    fn duplicated_id_in_us_reclaim_is_revoked_once() {
+        let mut m = model();
+        let user = ServerId::new(1);
+        let r = m.apply(&RackOp::AllocExt {
+            user,
+            mem_size: Bytes::mib(64),
+        });
+        let ResponseBody::Granted { buffers } = &r.body else {
+            panic!("alloc_ext answered {r:?}");
+        };
+        let x = buffers[0].id;
+        let free = m.free_buffers();
+        let r = m.apply(&RackOp::UsReclaim {
+            user,
+            buff_ids: vec![x, x],
+        });
+        assert_eq!(
+            r.body,
+            ResponseBody::Revoked {
+                relocated: 0,
+                fell_back: 0
+            }
+        );
+        assert_eq!(m.free_buffers(), free + 1, "the buffer is freed once");
+        // The buffer is gone from the user's agent: naming it again is a
+        // typed error.
+        let r = m.apply(&RackOp::UsReclaim {
+            user,
+            buff_ids: vec![x],
+        });
+        assert_eq!(r.body, ResponseBody::Error(ErrorFrame::UnknownBuffer(x)));
     }
 
     #[test]

@@ -219,6 +219,44 @@ fn failover_mid_stream_is_invisible_to_the_client() {
     shutdown(&endpoint, handle);
 }
 
+#[test]
+fn duplicated_id_in_us_reclaim_gets_a_typed_answer_and_serving_continues() {
+    let (endpoint, handle) = spawn_daemon(ModelConfig::new(8, 11));
+    let mut c = ZlClient::connect(&endpoint).expect("connect");
+    let user = ServerId::new(1);
+    let r = c
+        .call(&RackOp::AllocExt {
+            user,
+            mem_size: Bytes::mib(64),
+        })
+        .expect("alloc_ext");
+    let ResponseBody::Granted { buffers } = r.body else {
+        panic!("alloc_ext answered {:?}", r.body);
+    };
+    let x = buffers[0].id;
+    let r = c
+        .call(&RackOp::UsReclaim {
+            user,
+            buff_ids: vec![x, x],
+        })
+        .expect("us_reclaim naming one buffer twice");
+    assert_eq!(
+        r.body,
+        ResponseBody::Revoked {
+            relocated: 0,
+            fell_back: 0
+        }
+    );
+    // The model lock is not poisoned: this and a fresh connection are
+    // still served.
+    let r = c.call(&RackOp::GetLruZombie).expect("same connection");
+    assert!(matches!(r.body, ResponseBody::LruZombie { .. }));
+    let mut c2 = ZlClient::connect(&endpoint).expect("second connection");
+    let r = c2.call(&RackOp::GetLruZombie).expect("new connection");
+    assert!(matches!(r.body, ResponseBody::LruZombie { .. }));
+    shutdown(&endpoint, handle);
+}
+
 /// The STATS admin frame: per-op counters account for exactly the ops
 /// served, gauges reflect the model, and consecutive scrapes are
 /// monotone on every counter.

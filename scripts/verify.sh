@@ -302,6 +302,53 @@ if [ -S "$ZL_DIR/zombied.sock" ]; then
     exit 1
 fi
 
+echo "==> failover smoke (a release zombied loses its primary mid-replay and answers as if it had not)"
+# Debug asserts are off in release builds, so this is the one check of
+# the release mirror path: the secondary, promoted after request 1000,
+# must hold every effect the primary committed. One client keeps the
+# answers deterministic, so the scraped response tags and pool gauges
+# must equal those of a daemon that never failed.
+zl_tmp ZL_FO -d /tmp/zl-failover.XXXXXX
+for run in failed healthy; do
+    fail_flag=()
+    [ "$run" = failed ] && fail_flag=(--fail-primary-after 1000)
+    ./target/release/zombied --listen "unix:$ZL_FO/$run.sock" --servers 8 \
+        --seed 11 "${fail_flag[@]}" > "$ZL_FO/$run.log" 2>&1 &
+    ZOMBIED_PID=$!
+    for _ in $(seq 1 50); do
+        [ -S "$ZL_FO/$run.sock" ] && break
+        sleep 0.1
+    done
+    if ! [ -S "$ZL_FO/$run.sock" ]; then
+        echo "verify: FAIL — zombied ($run) did not come up" >&2
+        cat "$ZL_FO/$run.log" >&2
+        exit 1
+    fi
+    ./target/release/zombieland-cli replay --connect "unix:$ZL_FO/$run.sock" \
+        --requests 4000 --clients 1 --seed 9 --servers 8 \
+        --out "$ZL_FO/$run.json" > /dev/null
+    ./target/release/zlctl --connect "unix:$ZL_FO/$run.sock" stats > "$ZL_FO/$run.txt"
+    ./target/release/zlctl --connect "unix:$ZL_FO/$run.sock" shutdown > /dev/null
+    wait "$ZOMBIED_PID"
+    ZOMBIED_PID=""
+done
+FO_FAILOVERS=$(awk '$1 == "zombied_ha_failovers" { print $2 }' "$ZL_FO/failed.txt")
+FO_ALIVE=$(awk '$1 == "zombied_ha_primary_alive" { print $2 }' "$ZL_FO/failed.txt")
+FO_OPS=$(awk '/^zombied_op_/ { s += $2 } END { print s + 0 }' "$ZL_FO/failed.txt")
+FO_RESP=$(awk '/^zombied_resp_/ { s += $2 } END { print s + 0 }' "$ZL_FO/failed.txt")
+if [ "${FO_FAILOVERS:-}" != 1 ] || [ "${FO_ALIVE:-}" != 0 ] \
+    || [ "$FO_OPS" -ne 4000 ] || [ "$FO_RESP" -ne 4000 ]; then
+    echo "verify: FAIL — failover smoke read failovers '${FO_FAILOVERS:-}'," \
+        "primary_alive '${FO_ALIVE:-}', $FO_OPS ops and $FO_RESP responses" \
+        "(want 1, 0, 4000, 4000)" >&2
+    exit 1
+fi
+if ! cmp <(grep -E '^zombied_(resp_|pool_)' "$ZL_FO/failed.txt") \
+    <(grep -E '^zombied_(resp_|pool_)' "$ZL_FO/healthy.txt"); then
+    echo "verify: FAIL — the failed-over daemon answered unlike a healthy one" >&2
+    exit 1
+fi
+
 echo "==> profile smoke (--profile emits a phase table and a PROFILE json covering the run)"
 zl_tmp ZL_PROF -d /tmp/zl-profile.XXXXXX
 ZL_ROOT=$PWD
