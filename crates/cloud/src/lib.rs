@@ -8,14 +8,10 @@
 //!   traits, the paper's policies (ZombieStack plus the AlwaysOn, Neat
 //!   and Oasis baselines) and the registry that names them. It is the
 //!   only copy of the rules; the datacenter-scale simulator judges hosts
-//!   through it for Fig. 10, and so does the live binding;
-//! - **A live binding** ([`stack`]) that runs the ZombieStack policy
-//!   against a real [`zombieland_core::Rack`], used by the integration
-//!   tests to exercise the whole stack end to end;
+//!   through it for Fig. 10;
 //! - the migration timing models ([`migration`], Fig. 9) and the Oasis
 //!   memory-server constants ([`oasis`]).
 
 pub mod migration;
 pub mod oasis;
 pub mod policy;
-pub mod stack;

@@ -91,28 +91,6 @@ pub fn zombiestack_migration(local_part: Bytes) -> MigrationStats {
     stats
 }
 
-/// Oasis-style *partial* migration [55, 58]: only the working set crosses
-/// the wire to the new host; the remaining (cold) memory is shipped to a
-/// low-power memory server lazily, off the critical path. Downtime covers
-/// just the working-set copy.
-///
-/// This is the baseline's counterpart to [`zombiestack_migration`]: both
-/// move ~the hot pages, but Oasis then needs a *dedicated memory server*
-/// to park the rest, while ZombieStack's remote part never moves at all.
-pub fn oasis_partial_migration(vm_mem: Bytes, wss: Bytes) -> MigrationStats {
-    let hot = wss.min(vm_mem);
-    let copy = wire_time(hot);
-    // The cold transfer to the memory server streams in the background;
-    // only the hot copy and the handoff gate the VM.
-    let stats = MigrationStats {
-        total: copy + HANDOFF,
-        downtime: copy + HANDOFF,
-        bytes: vm_mem, // Everything crosses the network eventually.
-    };
-    observe_migration("oasis_partial", &stats);
-    stats
-}
-
 /// One Fig. 9 data point: both protocols on a VM of `vm_mem`, with the
 /// working set at `wss_ratio` of the VM memory, under ZombieStack's 50 %
 /// local split.
@@ -168,22 +146,6 @@ mod tests {
     fn zombie_moves_fewer_bytes() {
         let (native, zombie) = figure9_point(Bytes::gib(7), 0.5);
         assert!(zombie.bytes.get() * 3 < native.bytes.get());
-    }
-
-    #[test]
-    fn oasis_partial_between_native_and_zombiestack() {
-        let mem = Bytes::gib(7);
-        for ratio in [0.2, 0.5, 0.8] {
-            let wss = mem.mul_f64(ratio);
-            let (native, zombie) = figure9_point(mem, ratio);
-            let oasis = oasis_partial_migration(mem, wss);
-            // Oasis moves the whole WSS; ZombieStack only its local half.
-            assert!(oasis.total < native.total, "wss={ratio}");
-            assert!(zombie.total < oasis.total, "wss={ratio}");
-            // But Oasis eventually ships all the memory off-host.
-            assert_eq!(oasis.bytes, mem);
-            assert!(zombie.bytes < oasis.bytes);
-        }
     }
 
     #[test]

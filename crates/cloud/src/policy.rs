@@ -1,10 +1,9 @@
 //! The §5 rule set: policy extension points and the static registry.
 //!
-//! Both drivers of the paper's policies decide through this module: the
-//! datacenter simulator (`zombieland-simulator`, whose `dc` module holds
-//! the mechanics: host accounting, the remote pool, the two-phase
-//! evacuation protocol) and the live rack binding
-//! [`crate::stack::ZombieStack`]. Everything a *policy* decides goes
+//! The datacenter simulator (`zombieland-simulator`, whose `dc` module
+//! holds the mechanics: host accounting, the remote pool, the two-phase
+//! evacuation protocol) decides through this module, and re-exports it
+//! as `zombieland_simulator::policy`. Everything a *policy* decides goes
 //! through two trait objects:
 //!
 //! - [`PlacementPolicy`] — can an active host admit an arriving VM, and
@@ -26,9 +25,8 @@
 
 use core::fmt;
 
-/// A candidate host's load, precomputed by the driver (the simulator or
-/// the live binding) for admission checks. Capacities are normalized to
-/// "one server" = 1.0 on both axes.
+/// A candidate host's load, precomputed by the simulator for admission
+/// checks. Capacities are normalized to "one server" = 1.0 on both axes.
 #[derive(Clone, Copy, Debug)]
 pub struct HostLoad {
     /// Booked CPU of resident VMs.

@@ -272,21 +272,6 @@ impl Effect for Release<'_> {
     }
 }
 
-/// A decided ownership transfer: every id moves to `to`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Reassign<'a> {
-    to: ServerId,
-    ids: &'a [BufferId],
-}
-
-impl Effect for Reassign<'_> {
-    fn commit(&self, db: &mut CtrlDb) {
-        for id in self.ids {
-            db.buffers.get_mut(id).expect("decided on a live row").user = Some(self.to);
-        }
-    }
-}
-
 /// A decided reclaim: the plan's rows leave the database.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Reclaim {
@@ -485,19 +470,6 @@ impl CtrlDb {
     ) -> Result<Release<'a>, DbError> {
         self.check_user(user, ids)?;
         Ok(Release(ids))
-    }
-
-    /// Decides a reassignment of buffers from one user to another — the
-    /// migration protocol's "update the ownership pointers for the remote
-    /// memory components" (§5.3). All-or-nothing.
-    pub fn decide_reassign<'a>(
-        &self,
-        from: ServerId,
-        to: ServerId,
-        ids: &'a [BufferId],
-    ) -> Result<Reassign<'a>, DbError> {
-        self.check_user(from, ids)?;
-        Ok(Reassign { to, ids })
     }
 
     /// Plans a reclaim of `nb` of `host`'s buffers (`GS_reclaim`):

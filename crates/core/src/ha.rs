@@ -248,11 +248,6 @@ mod tests {
             user: ServerId,
             ids: Vec<BufferId>,
         },
-        Reassign {
-            from: ServerId,
-            to: ServerId,
-            ids: Vec<BufferId>,
-        },
         Reclaim {
             host: ServerId,
             nb: u64,
@@ -293,7 +288,7 @@ mod tests {
                 nb: rng.range(1, 8),
                 guaranteed: rng.chance(0.5),
             },
-            k @ (2 | 3) => {
+            2 | 3 => {
                 let user = host(rng);
                 let owner = if rng.chance(0.8) { user } else { host(rng) };
                 let mut ids: Vec<BufferId> = db
@@ -308,15 +303,7 @@ mod tests {
                 if let (Some(&first), true) = (ids.first(), rng.chance(0.2)) {
                     ids.push(first);
                 }
-                if k == 2 {
-                    Op::Release { user, ids }
-                } else {
-                    Op::Reassign {
-                        from: user,
-                        to: host(rng),
-                        ids,
-                    }
-                }
+                Op::Release { user, ids }
             }
             4 => Op::Reclaim {
                 host: host(rng),
@@ -343,10 +330,6 @@ mod tests {
             ),
             Op::Release { user, ids } => {
                 ha.mutate(|db| db.decide_release(*user, ids))?;
-                Answer::Done
-            }
-            Op::Reassign { from, to, ids } => {
-                ha.mutate(|db| db.decide_reassign(*from, *to, ids))?;
                 Answer::Done
             }
             Op::Reclaim { host, nb } => {

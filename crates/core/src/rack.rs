@@ -248,7 +248,6 @@ pub struct Rack {
     fabric: Fabric,
     ha: HaPair,
     primary_node: NodeId,
-    secondary_node: NodeId,
     servers: Vec<ServerEntry>,
     managers: Vec<RemoteMemManager>,
     to_primary: Vec<RpcLink>,
@@ -306,7 +305,6 @@ impl Rack {
             fabric,
             ha,
             primary_node,
-            secondary_node,
             servers,
             managers,
             to_primary,
@@ -380,16 +378,6 @@ impl Rack {
     /// default path's timing is bit-for-bit what the fabric charges.
     fn backend(&self) -> &'static dyn crate::backend::FabricBackend {
         self.config.backend.backend
-    }
-
-    /// The fabric nodes hosting the primary and secondary controllers.
-    pub fn controller_nodes(&self) -> (NodeId, NodeId) {
-        (self.primary_node, self.secondary_node)
-    }
-
-    /// Total control-plane time accumulated so far.
-    pub fn control_time(&self) -> SimDuration {
-        self.control_time
     }
 
     /// A server's ACPI state.
@@ -714,37 +702,6 @@ impl Rack {
             mgr.grant(r, PoolKind::Swap);
         }
         Ok(AllocOutcome { buffers, control })
-    }
-
-    /// Transfers ownership of (empty) granted buffers from one user to
-    /// another — the migration protocol's ownership-pointer update
-    /// (§5.3). The remote data needs no copy; only the controller row and
-    /// the two managers' grant tables change.
-    pub fn transfer_buffers(
-        &mut self,
-        from: ServerId,
-        to: ServerId,
-        buffers: &[BufferId],
-    ) -> Result<(), RackError> {
-        let from_i = self.server_index(from)?;
-        let to_i = self.server_index(to)?;
-        let mut records = Vec::with_capacity(buffers.len());
-        for b in buffers {
-            records.push(self.managers[from_i].buffer_record(*b)?);
-        }
-        // Ungrant refuses buffers with live pages, keeping the transfer
-        // safe; then flip the controller row and re-grant on the target.
-        for b in buffers {
-            self.managers[from_i].ungrant(*b)?;
-        }
-        self.ha.mutate(|db| db.decide_reassign(from, to, buffers))?;
-        for mut rec in records {
-            rec.user = Some(to);
-            // Transfers happen at the stack layer where buffers back VM
-            // RAM extensions.
-            self.managers[to_i].grant(rec, PoolKind::Ext);
-        }
-        Ok(())
     }
 
     /// Releases empty granted buffers back to the pool.
@@ -1327,8 +1284,6 @@ mod tests {
         assert!(unknown(rack.alloc_swap(bogus, Bytes::gib(1)).map(|_| ())));
         assert!(unknown(rack.place_page(bogus, PoolKind::Ext).map(|_| ())));
         assert!(unknown(rack.release(bogus, &alloc.buffers)));
-        assert!(unknown(rack.transfer_buffers(bogus, user, &alloc.buffers)));
-        assert!(unknown(rack.transfer_buffers(user, bogus, &alloc.buffers)));
         let (handle, _) = rack.place_page(user, PoolKind::Ext).unwrap();
         assert!(unknown(rack.free_page(bogus, handle).map(|_| ())));
         // And the rack still works afterwards: nothing was corrupted.

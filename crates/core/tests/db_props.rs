@@ -34,10 +34,6 @@ enum Op {
     ReleaseDup {
         user: u32,
     },
-    Reassign {
-        from: u32,
-        to: u32,
-    },
     Reclaim {
         host: u32,
         nb: u8,
@@ -62,7 +58,6 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
             }),
             (0..HOSTS).prop_map(|user| Op::ReleaseSome { user }),
             (0..HOSTS).prop_map(|user| Op::ReleaseDup { user }),
-            ((0..HOSTS), (0..HOSTS)).prop_map(|(from, to)| Op::Reassign { from, to }),
             ((0..HOSTS), (1u8..6)).prop_map(|(host, nb)| Op::Reclaim { host, nb }),
             (0..HOSTS).prop_map(|host| Op::Wake { host }),
         ],
@@ -157,13 +152,6 @@ fn apply(replicas: &mut [CtrlDb], fabric: &mut Fabric, node: zombieland_rdma::No
                 mirror(replicas, |db| db.decide_release(ServerId::new(*user), &dup)).unwrap();
             }
         }
-        Op::Reassign { from, to } => {
-            let ids = reassignable(db.buffers_of_user(ServerId::new(*from)), *to);
-            mirror(replicas, |db| {
-                db.decide_reassign(ServerId::new(*from), ServerId::new(*to), &ids)
-            })
-            .unwrap();
-        }
         Op::Reclaim { host, nb } => {
             mirror(replicas, |db| {
                 db.decide_reclaim(ServerId::new(*host), *nb as u64)
@@ -174,15 +162,6 @@ fn apply(replicas: &mut [CtrlDb], fabric: &mut Fabric, node: zombieland_rdma::No
             mirror(replicas, |db| db.decide_mark_awake(ServerId::new(*host))).unwrap();
         }
     }
-}
-
-/// Up to two of `from`'s buffers that `to` may use (not its own memory).
-fn reassignable(mine: Vec<BufferRecord>, to: u32) -> Vec<BufferId> {
-    mine.iter()
-        .filter(|r| r.host != ServerId::new(to))
-        .take(2)
-        .map(|r| r.id)
-        .collect()
 }
 
 /// The database as it was before it kept indexes: rows and lent lists
@@ -316,20 +295,15 @@ impl ScanDb {
             .collect())
     }
 
-    fn set_users(
-        &mut self,
-        from: ServerId,
-        to: Option<ServerId>,
-        ids: &[BufferId],
-    ) -> Result<(), DbError> {
+    fn release(&mut self, user: ServerId, ids: &[BufferId]) -> Result<(), DbError> {
         for id in ids {
             let rec = self.buffers.get(id).ok_or(DbError::UnknownBuffer(*id))?;
-            if rec.user != Some(from) {
-                return Err(DbError::NotTheUser(*id, from));
+            if rec.user != Some(user) {
+                return Err(DbError::NotTheUser(*id, user));
             }
         }
         for id in ids {
-            self.buffers.get_mut(id).unwrap().user = to;
+            self.buffers.get_mut(id).unwrap().user = None;
         }
         Ok(())
     }
@@ -482,15 +456,7 @@ proptest! {
                     }
                     prop_assert_eq!(
                         run(&mut db, |db| db.decide_release(u, &ids)).map(|_| ()),
-                        scan.set_users(u, None, &ids)
-                    );
-                }
-                Op::Reassign { from, to } => {
-                    let (f, t) = (ServerId::new(*from), ServerId::new(*to));
-                    let ids = reassignable(db.buffers_of_user(f), *to);
-                    prop_assert_eq!(
-                        run(&mut db, |db| db.decide_reassign(f, t, &ids)).map(|_| ()),
-                        scan.set_users(f, Some(t), &ids)
+                        scan.release(u, &ids)
                     );
                 }
                 Op::Reclaim { host, nb } => {

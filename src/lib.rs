@@ -20,8 +20,7 @@
 //!   Explicit Swap Device remote-memory modes.
 //! - [`workloads`] — the evaluation's micro- and macro-benchmark models.
 //! - [`cloud`] — ZombieStack: the §5 placement/consolidation rules and
-//!   their registry (with the Neat and Oasis baselines), the live rack
-//!   binding, migration.
+//!   their registry (with the Neat and Oasis baselines), migration.
 //! - [`simulator`] — datacenter-scale energy simulation.
 //! - [`obs`] — deterministic observability: sim-time trace events, metric
 //!   registries, JSONL export.

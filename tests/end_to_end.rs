@@ -1,47 +1,97 @@
-//! End-to-end: the whole stack from cloud scheduler down to RDMA verbs.
+//! End-to-end: from the §5 datacenter run down to RDMA verbs.
 
-use zombieland::cloud::stack::{VmSpec, ZombieStack};
 use zombieland::core::manager::PoolKind;
-use zombieland::core::RackConfig;
+use zombieland::core::{RackConfig, ServerId};
+use zombieland::energy::MachineProfile;
 use zombieland::hypervisor::engine::{self, Backing, EngineConfig};
-use zombieland::simcore::{Bytes, SimDuration};
+use zombieland::rdma::NodeId;
+use zombieland::simcore::{Bytes, SimDuration, PAGE_SIZE};
+use zombieland::simulator::{simulate, PolicyKind, SimConfig};
+use zombieland::trace::{ClusterTrace, TraceConfig};
 use zombieland::workloads::DataCaching;
 
-fn spec(id: u64, cpu: f64, mem_gib: u64, cpu_used: f64) -> VmSpec {
-    VmSpec {
-        id,
-        cpu,
-        mem: Bytes::gib(mem_gib),
-        wss: Bytes::gib(mem_gib).mul_f64(0.8),
-        cpu_used,
-    }
-}
-
-/// Boot VMs through the cloud layer, consolidate, then actually *run* a
-/// workload on the consolidated rack via the hypervisor engine, paging to
-/// the zombie the consolidation created.
+/// Take the zombies a seeded ZombieStack run leaves, as the daemon's
+/// boot does, send that many hosts of a rack to Sz, and page a workload
+/// through the buffers they lend.
 #[test]
-fn consolidate_then_page_through_the_created_zombie() {
-    let mut stack = ZombieStack::new(RackConfig {
-        servers: 3,
+fn simulated_zombies_lend_buffers_a_workload_pages_through() {
+    let trace = ClusterTrace::generate(TraceConfig {
+        servers: 12,
+        duration: SimDuration::from_hours(6),
+        seed: 1,
+        mem_cpu_ratio: 1.0,
+        avg_utilization: 0.25,
+    });
+    let report = simulate(
+        &trace,
+        &SimConfig {
+            sample_interval: Some(SimDuration::from_hours(1)),
+            ..SimConfig::new(PolicyKind::ZombieStack, MachineProfile::hp())
+        },
+    );
+    let zombies = report.timeline.last().map_or(0, |s| s.counts[1]) as u32;
+    assert!(zombies >= 1, "the run left a zombie");
+
+    // Host 0 runs the workload; hosts 1..=zombies go to Sz.
+    let mut rack = zombieland::core::Rack::new(RackConfig {
+        servers: zombies + 1,
         ..RackConfig::default()
     });
-    // One busy memory-heavy VM pins host A; an idle VM lands alone and
-    // gets consolidated away; its host becomes a zombie.
-    stack.boot_vm(spec(1, 0.4, 12, 0.35)).unwrap();
-    stack.boot_vm(spec(2, 0.3, 8, 0.05)).unwrap();
-    let report = stack.consolidate().unwrap();
-    assert!(
-        !report.suspended.is_empty(),
-        "consolidation created zombies"
-    );
-    let pool_before = stack.rack().db().free_buffers();
-    assert!(pool_before > 0);
+    let user = ServerId::new(0);
+    let mut lent = 0;
+    for z in 1..=zombies {
+        lent += rack.goto_zombie(ServerId::new(z)).unwrap().buffers.len() as u64;
+    }
+    assert_eq!(rack.db().free_buffers(), lent);
 
-    // The migrated VM keeps part of its memory remote.
-    let migrated = stack.vms().find(|v| v.spec.id == 2).unwrap();
-    assert!(!migrated.remote_buffers.is_empty());
-    assert!(migrated.local >= migrated.spec.mem.mul_f64(0.3).mul_f64(0.8));
+    let alloc = rack.alloc_ext(user, Bytes::mib(256)).unwrap();
+    // Controllers sit on nodes 0 and 1, server `i` on node `2 + i`.
+    let nodes = rack.fabric().node_count() as u32;
+    let traffic = |rack: &zombieland::core::Rack| -> Vec<_> {
+        (0..nodes)
+            .map(|n| rack.fabric().stats(NodeId::new(n)).unwrap())
+            .collect()
+    };
+    let before = traffic(&rack);
+    let mut w = DataCaching::new(Bytes::mib(96).pages(), 5);
+    let cfg = EngineConfig::ram_ext(Bytes::mib(128), Bytes::mib(48));
+    let stats = engine::run(
+        &mut w,
+        &cfg,
+        Backing::Rack {
+            rack: &mut rack,
+            user,
+            pool: PoolKind::Ext,
+        },
+    )
+    .unwrap();
+    assert!(stats.remote_faults > 0, "workload actually paged");
+    let after = traffic(&rack);
+
+    // Inbound paging traffic lands on the zombies' NICs only, and their
+    // CPUs stay idle.
+    let mut inbound = Bytes::ZERO;
+    let user_node = 2 + user.get() as usize;
+    for (n, (b, a)) in before.iter().zip(&after).enumerate() {
+        let delta = a.inbound_bytes - b.inbound_bytes;
+        if n > user_node {
+            inbound += delta;
+            assert_eq!(a.outbound_ops, b.outbound_ops, "zombie CPU idle");
+        } else {
+            assert_eq!(delta, Bytes::ZERO, "node {n} is no zombie");
+        }
+    }
+    assert!(inbound.get() / PAGE_SIZE >= stats.remote_faults);
+
+    // Teardown: no live pages, buffers releasable, pool restored.
+    assert_eq!(rack.manager(user).live_pages(), 0);
+    rack.release(user, &alloc.buffers).unwrap();
+    assert_eq!(rack.db().free_buffers(), lent);
+    for z in 1..=zombies {
+        let wake = rack.wake(ServerId::new(z), None).unwrap();
+        assert_eq!(wake.revoked, 0, "nothing left allocated");
+    }
+    assert_eq!(rack.db().free_buffers(), 0);
 }
 
 /// The full data path under an engine-driven workload across the rack the
@@ -107,8 +157,7 @@ fn paging_traffic_lands_on_the_zombie_nic() {
     .unwrap();
 
     let after = rack.fabric().stats(znode).unwrap();
-    let inbound_pages =
-        (after.inbound_bytes - before.inbound_bytes).get() / zombieland::simcore::PAGE_SIZE;
+    let inbound_pages = (after.inbound_bytes - before.inbound_bytes).get() / PAGE_SIZE;
     // Demotion writes + promotion reads, minus the clean-demotion
     // optimization, all land on the zombie.
     assert!(
